@@ -18,19 +18,17 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .addressing import AddressingMethodId, TagStandard, method_function
-from .epc import SGTIN96_PARTITIONS, Epc, EpcScheme, Sgtin96Fields, encode_sgtin96
+from .epc import (
+    SERIAL_BITS,
+    SGTIN96_PARTITIONS,
+    Epc,
+    EpcScheme,
+    Sgtin96Fields,
+    encode_sgtin96,
+)
 from .errors import EpcIpv6Error, EvaluationError, UnsatisfiableSpecError
 from .ipv6 import Ipv6Address
 from .ons import OnsRegistry, resolve
-
-# serial-field widths used when generating populations, per scheme
-_GENERATED_SERIAL_BITS = {
-    EpcScheme.SGTIN96: 38,
-    EpcScheme.GIAI96: 62,
-    EpcScheme.SGLN96: 41,
-    EpcScheme.USDOD96: 36,
-    EpcScheme.RAW: 64,
-}
 
 CSV_HEADER = "method,population,distinct,collisions,mean_time,p99_time"
 
@@ -56,7 +54,7 @@ class PopulationSpec:
 
     @property
     def effective_serial_bits(self) -> int:
-        scheme_bits = _GENERATED_SERIAL_BITS[self.scheme]
+        scheme_bits = SERIAL_BITS[self.scheme]
         if self.serial_width_bits is None:
             return scheme_bits
         return min(scheme_bits, self.serial_width_bits)

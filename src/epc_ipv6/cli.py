@@ -243,7 +243,10 @@ def cmd_bench(args, config: CliConfig) -> int:
         output = "\n".join(lines) + "\n"
 
     if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
+        try:
+            Path(args.out).write_text(output, encoding="utf-8")
+        except OSError as exc:
+            raise _stage_error("output", exc, EXIT_USAGE) from exc
     else:
         sys.stdout.write(output)
     return EXIT_OK

@@ -31,7 +31,6 @@ class EpcScheme(str, Enum):
     SGTIN96 = "sgtin-96"
     GIAI96 = "giai-96"
     SGLN96 = "sgln-96"
-    USDOD96 = "usdod-96"
     RAW = "raw"
 
 
@@ -54,23 +53,14 @@ _COMPANY_DIGITS_TO_PARTITION = {
     digits: p for p, (_, digits, _, _) in SGTIN96_PARTITIONS.items()
 }
 
-# fixed widths of the 96-bit schemes
-_DECLARED_BITS = {
-    EpcScheme.SGTIN96: 96,
-    EpcScheme.GIAI96: 96,
-    EpcScheme.SGLN96: 96,
-    EpcScheme.USDOD96: 96,
-}
-
-# widest serial field each scheme can carry (GIAI-96 at partition 6)
-_MAX_SERIAL_BITS = {
-    EpcScheme.SGTIN96: 38,
+# widest serial field each scheme can carry (GIAI-96 at partition 6); a raw
+# EPC is bounded by its declared width, and populations draw 64-bit ones
+SERIAL_BITS = {
+    EpcScheme.SGTIN96: SGTIN96_SERIAL_BITS,
     EpcScheme.GIAI96: 62,
     EpcScheme.SGLN96: 41,
-    EpcScheme.USDOD96: 36,
+    EpcScheme.RAW: 64,
 }
-
-_PARSEABLE_SCHEMES = (EpcScheme.SGTIN96, EpcScheme.GIAI96, EpcScheme.SGLN96)
 
 _URI_PREFIX = "urn:epc:tag:"
 
@@ -92,7 +82,7 @@ class Sgtin96Fields:
     """The five SGTIN-96 fields below the fixed 0x30 header byte.
 
     Bounds are the binary field widths; the stricter per-partition digit
-    counts of the URI grammar are enforced when parsing or rendering URIs.
+    counts of the URI grammar are enforced when decoding or parsing URIs.
     """
 
     filter_value: int
@@ -150,26 +140,26 @@ class Epc:
                 raise ValueError(f"raw EPC width {self.declared_bits} outside 1..256")
             if self.value is None:
                 raise ValueError("raw EPC must carry a numeric value")
+            max_serial_bits = self.declared_bits
         else:
-            expected = _DECLARED_BITS[self.scheme]
-            if self.declared_bits != expected:
+            if self.declared_bits != 96:
                 raise ValueError(
-                    f"{self.scheme.value} is {expected} bits wide, "
+                    f"{self.scheme.value} is 96 bits wide, "
                     f"got declared_bits={self.declared_bits}"
                 )
             if self.serial_number is None:
                 raise ValueError(f"{self.scheme.value} EPC must carry a serial number")
+            max_serial_bits = SERIAL_BITS[self.scheme]
         if self.value is not None and not 0 <= self.value < 1 << self.declared_bits:
             raise ValueError(
                 f"value {self.value:#x} does not fit {self.declared_bits} bits"
             )
-        if self.serial_number is not None:
-            max_bits = _MAX_SERIAL_BITS.get(self.scheme, self.declared_bits)
-            if not 0 <= self.serial_number < 1 << max_bits:
-                raise ValueError(
-                    f"serial {self.serial_number} overflows the "
-                    f"{max_bits}-bit serial field of {self.scheme.value}"
-                )
+        serial = self.serial_number
+        if serial is not None and not 0 <= serial < 1 << max_serial_bits:
+            raise ValueError(
+                f"serial {serial} overflows the "
+                f"{max_serial_bits}-bit serial field of {self.scheme.value}"
+            )
 
 
 def encode_sgtin96(fields: Sgtin96Fields) -> int:
@@ -190,7 +180,7 @@ def encode_sgtin96(fields: Sgtin96Fields) -> int:
 
 
 def decode_sgtin96(value: int) -> Sgtin96Fields:
-    """Exact inverse of :func:`encode_sgtin96`."""
+    """Inverse of :func:`encode_sgtin96` on values that have a tag URI form."""
     if not 0 <= value < 1 << 96:
         raise FieldRangeError(f"value {value:#x} does not fit 96 bits")
     header = value >> 88
@@ -201,12 +191,20 @@ def decode_sgtin96(value: int) -> Sgtin96Fields:
     partition = (value >> 82) & 0x7
     if partition not in SGTIN96_PARTITIONS:
         raise InvalidPartitionError(f"partition {partition} outside 0..6")
-    company_bits, _, item_bits, _ = SGTIN96_PARTITIONS[partition]
+    company_bits, company_digits, item_bits, item_digits = SGTIN96_PARTITIONS[partition]
+    company_prefix = (value >> (38 + item_bits)) & ((1 << company_bits) - 1)
+    item_reference = (value >> 38) & ((1 << item_bits) - 1)
+    # GS1 Tag Data Standard: both fields must fit the digits, not just the bits
+    if company_prefix >= 10**company_digits or item_reference >= 10**item_digits:
+        raise FieldRangeError(
+            f"company prefix {company_prefix} or item reference {item_reference} "
+            f"has more digits than partition {partition} allows"
+        )
     return Sgtin96Fields(
         filter_value=(value >> 85) & 0x7,
         partition=partition,
-        company_prefix=(value >> (38 + item_bits)) & ((1 << company_bits) - 1),
-        item_reference=(value >> 38) & ((1 << item_bits) - 1),
+        company_prefix=company_prefix,
+        item_reference=item_reference,
         serial=value & ((1 << SGTIN96_SERIAL_BITS) - 1),
     )
 
@@ -223,23 +221,16 @@ def parse_tag_uri(text: str) -> Epc:
     scheme_name, sep, fields_text = text[len(_URI_PREFIX):].partition(":")
     if not sep or not fields_text:
         raise TagUriError(f"tag URI has no field section: {text!r}")
-    try:
-        scheme = EpcScheme(scheme_name)
-    except ValueError:
-        raise UnknownSchemeError(f"unknown tag scheme {scheme_name!r}") from None
-    if scheme not in _PARSEABLE_SCHEMES:
-        raise UnknownSchemeError(f"tag scheme {scheme_name!r} is not parseable")
+    parser = _PARSERS.get(scheme_name)
+    if parser is None:
+        raise UnknownSchemeError(f"unknown tag scheme {scheme_name!r}")
 
     fields = fields_text.split(".")
     for field in fields:
         if field and not (field.isascii() and field.isdigit()):
             raise TagUriError(f"non-decimal field {field!r} in {text!r}")
 
-    if scheme is EpcScheme.SGTIN96:
-        return _parse_sgtin96(text, fields)
-    if scheme is EpcScheme.GIAI96:
-        return _parse_giai96(text, fields)
-    return _parse_sgln96(text, fields)
+    return parser(text, fields)
 
 
 def _parse_filter(field: str) -> int:
@@ -335,6 +326,14 @@ def _parse_sgln96(text: str, fields: list[str]) -> Epc:
         serial_number=serial,
         uri=text,
     )
+
+
+# every scheme but raw has a tag URI form
+_PARSERS = {
+    EpcScheme.SGTIN96.value: _parse_sgtin96,
+    EpcScheme.GIAI96.value: _parse_giai96,
+    EpcScheme.SGLN96.value: _parse_sgln96,
+}
 
 
 def render_tag_uri(epc: Epc) -> str:

@@ -2,14 +2,15 @@
 
 The registry file is a JSON array of ``{"pattern": ..., "ons_ip": ...}``
 objects. A pattern is a scheme name with an optional company-prefix
-literal (``"sgtin-96:0614141"``, ``"sgtin-96"``) or the wildcard ``"*"``;
-lookups prefer scheme+company over scheme over wildcard.
+literal (``"sgtin-96:0614141"``, ``"sgtin-96"``) or the wildcard ``"*"``.
+Patterns are parsed once, into dict keys; whatever the registry size, a
+lookup probes scheme+company, then scheme, then wildcard: the precedence.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .epc import Epc, EpcScheme, company_prefix_of
@@ -18,21 +19,27 @@ from .ipv6 import Ipv6Address, parse_ipv6
 
 WILDCARD = "*"
 
-_SCHEME_NAMES = {scheme.value for scheme in EpcScheme}
+_SCHEMES = {scheme.value: scheme for scheme in EpcScheme}
+
+# (scheme, company-prefix digits); None matches anything in that position
+PatternKey = tuple[EpcScheme | None, str | None]
 
 
-def _split_pattern(pattern: str) -> tuple[str | None, str | None]:
-    """Validate a pattern and split it into (scheme name, company prefix)."""
+def _parse_pattern(pattern: str) -> PatternKey:
+    """Validate a pattern and split it into its (scheme, company) key."""
     if pattern == WILDCARD:
         return None, None
     scheme_name, sep, company = pattern.partition(":")
-    if scheme_name not in _SCHEME_NAMES:
+    scheme = _SCHEMES.get(scheme_name)
+    if scheme is None:
         raise RegistryError(f"pattern {pattern!r} names unknown scheme {scheme_name!r}")
     if not sep:
-        return scheme_name, None
-    if not (company and company.isascii() and company.isdigit()):
-        raise RegistryError(f"pattern {pattern!r} has a non-decimal company prefix")
-    return scheme_name, company
+        return scheme, None
+    if scheme is EpcScheme.RAW:
+        raise RegistryError(f"pattern {pattern!r}: raw EPCs carry no company prefix")
+    if not (6 <= len(company) <= 12 and company.isascii() and company.isdigit()):
+        raise RegistryError(f"pattern {pattern!r}: company prefix is not 6..12 digits")
+    return scheme, company
 
 
 @dataclass(frozen=True)
@@ -41,25 +48,10 @@ class OnsRecord:
 
     pattern: str
     ons_ip: Ipv6Address
+    key: PatternKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _split_pattern(self.pattern)
-
-    @property
-    def specificity(self) -> int:
-        """0 = scheme+company, 1 = scheme, 2 = wildcard."""
-        scheme_name, company = _split_pattern(self.pattern)
-        if scheme_name is None:
-            return 2
-        return 1 if company is None else 0
-
-    def matches(self, epc: Epc) -> bool:
-        scheme_name, company = _split_pattern(self.pattern)
-        if scheme_name is None:
-            return True
-        if scheme_name != epc.scheme.value:
-            return False
-        return company is None or company == company_prefix_of(epc)
+        object.__setattr__(self, "key", _parse_pattern(self.pattern))
 
 
 @dataclass(frozen=True)
@@ -69,17 +61,17 @@ class OnsRegistry:
     records: tuple[OnsRecord, ...]
 
     def __post_init__(self):
-        seen = set()
+        index: dict[PatternKey, Ipv6Address] = {}
         for record in self.records:
-            if record.pattern in seen:
+            if record.key in index:
                 raise DuplicatePatternError(f"duplicate pattern {record.pattern!r}")
-            seen.add(record.pattern)
-        ordered = sorted(
-            range(len(self.records)), key=lambda i: (self.records[i].specificity, i)
-        )
-        object.__setattr__(
-            self, "records", tuple(self.records[i] for i in ordered)
-        )
+            index[record.key] = record.ons_ip
+        # fewer None positions is more specific; the sort keeps input order on ties
+        records = sorted(self.records, key=lambda record: record.key.count(None))
+        object.__setattr__(self, "records", tuple(records))
+        object.__setattr__(self, "_index", index)
+        # only these schemes make resolve look up a company prefix
+        object.__setattr__(self, "_company_schemes", {s for s, c in index if c})
 
     def resolve(self, epc: Epc) -> Ipv6Address:
         return resolve(self, epc)
@@ -118,7 +110,14 @@ def load_registry(path: str | Path) -> OnsRegistry:
 
 def resolve(registry: OnsRegistry, epc: Epc) -> Ipv6Address:
     """ONS address of the most specific record matching the EPC."""
-    for record in registry.records:
-        if record.matches(epc):
-            return record.ons_ip
-    raise NoMatchError(f"no registry record matches {epc.scheme.value} EPC")
+    scheme, index = epc.scheme, registry._index
+    if scheme in registry._company_schemes:
+        ons_ip = index.get((scheme, company_prefix_of(epc)))
+        if ons_ip is not None:
+            return ons_ip
+    ons_ip = index.get((scheme, None))
+    if ons_ip is None:
+        ons_ip = index.get((None, None))
+        if ons_ip is None:
+            raise NoMatchError(f"no registry record matches {scheme.value} EPC")
+    return ons_ip

@@ -259,6 +259,32 @@ class TestBenchCommand:
         assert lines[0].startswith("method,")
         assert len(lines) == 1 + 6  # all methods by default
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, wildcard_registry_path):
+        out = tmp_path / "missing-dir" / "report.csv"
+        code = main(
+            [
+                "bench",
+                "--registry",
+                str(wildcard_registry_path),
+                "--scheme",
+                "raw",
+                "--count",
+                "10",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("output: ")
+        assert str(out) in err
+
+    def test_usdod_scheme_rejected(self, wildcard_registry_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--registry", str(wildcard_registry_path),
+                  "--scheme", "usdod-96"])
+        assert excinfo.value.code == EXIT_USAGE
+
     def test_unsatisfiable_population(self, capsys, wildcard_registry_path):
         code = main(
             [

@@ -12,7 +12,7 @@ from epc_ipv6 import (
     parse_tag_uri,
     render_tag_uri,
 )
-from epc_ipv6.epc import SGTIN96_PARTITIONS
+from epc_ipv6.epc import SGTIN96_HEADER, SGTIN96_PARTITIONS
 from epc_ipv6.errors import (
     FieldRangeError,
     InvalidPartitionError,
@@ -37,6 +37,25 @@ def sgtin_fields(draw):
         item_reference=draw(st.integers(0, 10**item_digits - 1)),
         serial=draw(st.integers(0, 2**38 - 1)),
     )
+
+
+@st.composite
+def sgtin96_values(draw):
+    """Any 96-bit value with the SGTIN-96 header and a partition in 0..6.
+
+    Company prefix and item reference are drawn within their digit counts
+    or past them, up to their bit widths, with equal odds.
+    """
+
+    def field(digits, bits):
+        return draw(st.integers(0, 10**digits - 1) | st.integers(10**digits, 2**bits - 1))
+
+    partition = draw(st.integers(0, 6))
+    company_bits, company_digits, item_bits, item_digits = SGTIN96_PARTITIONS[partition]
+    value = (SGTIN96_HEADER << 3 | draw(st.integers(0, 7))) << 3 | partition
+    value = value << company_bits | field(company_digits, company_bits)
+    value = value << item_bits | field(item_digits, item_bits)
+    return value << 38 | draw(st.integers(0, 2**38 - 1))
 
 
 class TestBitLength:
@@ -104,6 +123,28 @@ class TestSgtin96Codec:
     def test_invalid_partition(self):
         with pytest.raises(InvalidPartitionError):
             decode_sgtin96((0x30 << 88) | (7 << 82))
+
+    @given(sgtin96_values())
+    def test_decode_rejects_or_renders_reparseable(self, value):
+        try:
+            fields = decode_sgtin96(value)
+        except FieldRangeError:
+            return
+        epc = Epc(
+            scheme=EpcScheme.SGTIN96, declared_bits=96, value=value,
+            serial_number=fields.serial,
+        )
+        uri = render_tag_uri(epc)
+        assert parse_tag_uri(uri).value == value
+        assert company_prefix_of(epc) == uri.rpartition(":")[2].split(".")[1]
+
+    def test_decode_rejects_fields_past_digit_counts(self):
+        # 10**6 fits partition 6's 20 company bits but not its 6 digits
+        with pytest.raises(FieldRangeError):
+            decode_sgtin96(encode_sgtin96(Sgtin96Fields(1, 6, 10**6, 0, 5)))
+        # 10 fits partition 0's 4 item bits but not its 1 digit
+        with pytest.raises(FieldRangeError):
+            decode_sgtin96(encode_sgtin96(Sgtin96Fields(1, 0, 0, 10, 5)))
 
     def test_field_overflow(self):
         with pytest.raises(FieldRangeError):

@@ -1,15 +1,20 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from epc_ipv6 import (
     Epc,
     EpcScheme,
+    Ipv6Address,
     OnsRecord,
     OnsRegistry,
+    Sgtin96Fields,
+    encode_sgtin96,
     load_registry,
     parse_ipv6,
     parse_tag_uri,
     resolve,
 )
+from epc_ipv6.epc import SGTIN96_PARTITIONS
 from epc_ipv6.errors import DuplicatePatternError, NoMatchError, RegistryError
 
 from conftest import ONS_TEXT
@@ -72,6 +77,11 @@ class TestLoadRegistry:
             [{"pattern": "*", "ons_ip": "not-an-address"}],
             [{"pattern": "nope-96", "ons_ip": ONS_TEXT}],
             [{"pattern": "sgtin-96:12x4", "ons_ip": ONS_TEXT}],
+            [{"pattern": "sgtin-96:", "ons_ip": ONS_TEXT}],
+            [{"pattern": "raw:0614141", "ons_ip": ONS_TEXT}],  # raw has no company
+            [{"pattern": "sgtin-96:06141", "ons_ip": ONS_TEXT}],  # 5 digits
+            [{"pattern": "sgtin-96:0614141555555", "ons_ip": ONS_TEXT}],  # 13 digits
+            [{"pattern": "usdod-96", "ons_ip": ONS_TEXT}],  # scheme no longer known
             ["just a string"],
             {"pattern": "*", "ons_ip": ONS_TEXT},
         ],
@@ -178,3 +188,91 @@ class TestOrdering:
     def test_duplicate_detected_on_construction(self):
         with pytest.raises(DuplicatePatternError):
             OnsRegistry(records=(record("*", A), record("*", B)))
+
+
+# company prefixes shared by registry patterns and drawn EPCs; the last is
+# never registered, so company lookups also miss
+COMPANIES = ("061414", "0614141", "0614142", "123456789012", "9999999")
+SCHEMES = ("sgtin-96", "giai-96", "sgln-96")
+PATTERNS = (
+    ["*", "raw"]
+    + list(SCHEMES)
+    + [f"{scheme}:{company}" for scheme in SCHEMES for company in COMPANIES[:-1]]
+)
+
+
+@st.composite
+def epcs_with_company(draw):
+    """An EPC of any parseable scheme or raw, and its true company digits."""
+    kind = draw(st.sampled_from(["uri", "sgtin-value", "serial-only", "raw"]))
+    company = draw(st.sampled_from(COMPANIES))
+    digits = len(company)
+    if kind == "raw":
+        value = draw(st.integers(0, 2**64 - 1))
+        return Epc(scheme=EpcScheme.RAW, declared_bits=64, value=value), None
+    if kind == "serial-only":
+        serial = draw(st.integers(0, 2**41 - 1))
+        scheme = EpcScheme(draw(st.sampled_from(SCHEMES[1:])))
+        return Epc(scheme=scheme, declared_bits=96, serial_number=serial), None
+    if kind == "sgtin-value":
+        partition = 12 - digits
+        item_digits = SGTIN96_PARTITIONS[partition][3]
+        fields = Sgtin96Fields(
+            filter_value=draw(st.integers(0, 7)),
+            partition=partition,
+            company_prefix=int(company),
+            item_reference=draw(st.integers(0, 10**item_digits - 1)),
+            serial=draw(st.integers(0, 2**38 - 1)),
+        )
+        epc = Epc(
+            scheme=EpcScheme.SGTIN96, declared_bits=96,
+            value=encode_sgtin96(fields), serial_number=fields.serial,
+        )
+        return epc, company
+    scheme = draw(st.sampled_from(SCHEMES))
+    serial = draw(st.integers(0, 2**38 - 1))
+    if scheme == "giai-96":
+        uri_fields = f"1.{company}.{serial}"
+    else:
+        # item reference (sgtin-96) or location reference (sgln-96) digits
+        width = 12 - digits + (scheme == "sgtin-96")
+        reference = f"{draw(st.integers(0, 10**width - 1)):0{width}d}" if width else ""
+        uri_fields = f"1.{company}.{reference}.{serial}"
+    return parse_tag_uri(f"urn:epc:tag:{scheme}:{uri_fields}"), company
+
+
+def reference_resolve(patterns, epc, company):
+    """Scan every pattern; the least (specificity, input index) match wins."""
+    matches = []
+    for index, pattern in enumerate(patterns):
+        scheme_name, _, literal = pattern.partition(":")
+        if pattern == "*":
+            matches.append((2, index))
+        elif scheme_name == epc.scheme.value and not literal:
+            matches.append((1, index))
+        elif scheme_name == epc.scheme.value and literal == company:
+            matches.append((0, index))
+    if not matches:
+        return None
+    return Ipv6Address(min(matches)[1] + 1)
+
+
+class TestResolveOracle:
+    @given(
+        st.lists(st.sampled_from(PATTERNS), unique=True, max_size=len(PATTERNS)),
+        st.lists(epcs_with_company(), min_size=1, max_size=20),
+    )
+    def test_agrees_with_brute_force_scan(self, patterns, epcs):
+        registry = OnsRegistry(
+            records=tuple(
+                OnsRecord(pattern=pattern, ons_ip=Ipv6Address(index + 1))
+                for index, pattern in enumerate(patterns)
+            )
+        )
+        for epc, company in epcs:
+            expected = reference_resolve(patterns, epc, company)
+            if expected is None:
+                with pytest.raises(NoMatchError):
+                    resolve(registry, epc)
+            else:
+                assert resolve(registry, epc) == expected

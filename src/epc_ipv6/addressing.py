@@ -206,6 +206,30 @@ def derive_iso_epc(
     return Ipv6Address((net_prefix.value >> IID_BITS << IID_BITS) | iid)
 
 
+# method -> (operation, the keyword option it takes, if any); the address
+# argument is the ONS address for hybrid_ons and the network prefix otherwise
+_METHODS: dict[AddressingMethodId, tuple[Callable[..., Ipv6Address], str | None]] = {
+    AddressingMethodId.HYBRID_ONS: (derive_hybrid, None),
+    AddressingMethodId.DIRECT64: (derive_direct64, None),
+    AddressingMethodId.XOR_PAD: (derive_xor_pad, "salt"),
+    AddressingMethodId.OR_PAD: (derive_or_pad, "salt"),
+    AddressingMethodId.ONE_PAD_SERIAL: (derive_one_pad, None),
+    AddressingMethodId.ISO_EPC: (derive_iso_epc, "standard"),
+}
+
+
+def _operation(
+    method: AddressingMethodId, salt: int, standard: TagStandard
+) -> tuple[Callable[..., Ipv6Address], dict | None]:
+    """The method's operation and its option as a keyword argument, if it takes one."""
+    if not isinstance(method, AddressingMethodId):
+        raise ValueError(f"unknown addressing method {method!r}")
+    operation, option = _METHODS[method]
+    if option is None:
+        return operation, None
+    return operation, {option: salt if option == "salt" else standard}
+
+
 def method_function(
     method: AddressingMethodId,
     salt: int = 0,
@@ -216,19 +240,8 @@ def method_function(
     The address argument is the ONS address for ``hybrid_ons`` and the
     network prefix for every baseline.
     """
-    if method is AddressingMethodId.HYBRID_ONS:
-        return derive_hybrid
-    if method is AddressingMethodId.DIRECT64:
-        return derive_direct64
-    if method is AddressingMethodId.XOR_PAD:
-        return partial(derive_xor_pad, salt=salt)
-    if method is AddressingMethodId.OR_PAD:
-        return partial(derive_or_pad, salt=salt)
-    if method is AddressingMethodId.ONE_PAD_SERIAL:
-        return derive_one_pad
-    if method is AddressingMethodId.ISO_EPC:
-        return partial(derive_iso_epc, standard=standard)
-    raise ValueError(f"unknown addressing method {method!r}")
+    operation, options = _operation(method, salt, standard)
+    return operation if options is None else partial(operation, **options)
 
 
 def derive(
@@ -239,4 +252,7 @@ def derive(
     standard: TagStandard = TagStandard.EPC,
 ) -> Ipv6Address:
     """Derive one address with the named method."""
-    return method_function(method, salt=salt, standard=standard)(epc, address)
+    operation, options = _operation(method, salt, standard)
+    if options is None:
+        return operation(epc, address)
+    return operation(epc, address, **options)

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .addressing import AddressingMethodId, TagStandard, method_function
-from .epc import (
-    SERIAL_BITS,
-    SGTIN96_PARTITIONS,
-    Epc,
-    EpcScheme,
-    Sgtin96Fields,
-    encode_sgtin96,
-)
+from .epc import SERIAL_BITS, SGTIN96_PARTITIONS, Epc, EpcScheme, pack_sgtin96
 from .errors import EpcIpv6Error, EvaluationError, UnsatisfiableSpecError
 from .ipv6 import Ipv6Address
 from .ons import OnsRegistry, resolve
@@ -161,20 +154,22 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
     if spec.scheme is EpcScheme.SGTIN96:
         population = []
         for serial in serials:
+            # draw order, which the populations depend on: partition, filter,
+            # company prefix, item reference
             partition = rng.randrange(7)
             _, company_digits, _, item_digits = SGTIN96_PARTITIONS[partition]
-            fields = Sgtin96Fields(
-                filter_value=rng.randrange(8),
-                partition=partition,
-                company_prefix=rng.randrange(10**company_digits),
-                item_reference=rng.randrange(10**item_digits),
-                serial=serial,
+            value = pack_sgtin96(
+                rng.randrange(8),
+                partition,
+                rng.randrange(10**company_digits),
+                rng.randrange(10**item_digits),
+                serial,
             )
             population.append(
                 Epc(
                     scheme=EpcScheme.SGTIN96,
                     declared_bits=96,
-                    value=encode_sgtin96(fields),
+                    value=value,
                     serial_number=serial,
                 )
             )

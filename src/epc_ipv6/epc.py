@@ -49,6 +49,8 @@ SGTIN96_PARTITIONS: dict[int, tuple[int, int, int, int]] = {
     6: (20, 6, 24, 7),
 }
 
+_SGTIN96_SERIAL_MASK = (1 << SGTIN96_SERIAL_BITS) - 1
+
 _COMPANY_DIGITS_TO_PARTITION = {
     digits: p for p, (_, digits, _, _) in SGTIN96_PARTITIONS.items()
 }
@@ -160,52 +162,83 @@ class Epc:
                 f"serial {serial} overflows the "
                 f"{max_serial_bits}-bit serial field of {self.scheme.value}"
             )
+        if self.scheme is EpcScheme.SGTIN96 and self.value is not None:
+            _check_sgtin96(self.value)
+            if serial != self.value & _SGTIN96_SERIAL_MASK:
+                raise ValueError(
+                    f"serial {serial} is not the serial field of value {self.value:#x}"
+                )
 
 
-def encode_sgtin96(fields: Sgtin96Fields) -> int:
-    """Pack SGTIN-96 fields into the 96-bit binary form.
+def _check_sgtin96(value: int) -> tuple[int, int, int]:
+    """Partition, company prefix and item reference of a 96-bit SGTIN-96 value.
 
-    Layout, most significant first: header 0x30 (8 bits), filter (3),
-    partition (3), company prefix and item reference (44 split by the
-    partition row), serial (38).
+    Raises unless the header is 0x30, the partition is 0..6 and both fields
+    fit the digit counts of their partition row, as the GS1 Tag Data
+    Standard requires of a value with a tag URI form.
     """
-    company_bits, _, item_bits, _ = SGTIN96_PARTITIONS[fields.partition]
-    value = SGTIN96_HEADER
-    value = (value << 3) | fields.filter_value
-    value = (value << 3) | fields.partition
-    value = (value << company_bits) | fields.company_prefix
-    value = (value << item_bits) | fields.item_reference
-    value = (value << SGTIN96_SERIAL_BITS) | fields.serial
-    return value
-
-
-def decode_sgtin96(value: int) -> Sgtin96Fields:
-    """Inverse of :func:`encode_sgtin96` on values that have a tag URI form."""
-    if not 0 <= value < 1 << 96:
-        raise FieldRangeError(f"value {value:#x} does not fit 96 bits")
     header = value >> 88
     if header != SGTIN96_HEADER:
         raise WrongHeaderError(
             f"header {header:#04x} is not the SGTIN-96 header {SGTIN96_HEADER:#04x}"
         )
     partition = (value >> 82) & 0x7
-    if partition not in SGTIN96_PARTITIONS:
+    row = SGTIN96_PARTITIONS.get(partition)
+    if row is None:
         raise InvalidPartitionError(f"partition {partition} outside 0..6")
-    company_bits, company_digits, item_bits, item_digits = SGTIN96_PARTITIONS[partition]
+    company_bits, company_digits, item_bits, item_digits = row
     company_prefix = (value >> (38 + item_bits)) & ((1 << company_bits) - 1)
     item_reference = (value >> 38) & ((1 << item_bits) - 1)
-    # GS1 Tag Data Standard: both fields must fit the digits, not just the bits
     if company_prefix >= 10**company_digits or item_reference >= 10**item_digits:
         raise FieldRangeError(
             f"company prefix {company_prefix} or item reference {item_reference} "
             f"has more digits than partition {partition} allows"
         )
+    return partition, company_prefix, item_reference
+
+
+def pack_sgtin96(
+    filter_value: int,
+    partition: int,
+    company_prefix: int,
+    item_reference: int,
+    serial: int,
+) -> int:
+    """Pack in-range SGTIN-96 fields into the 96-bit binary form, unchecked.
+
+    Layout, most significant first: header 0x30 (8 bits), filter (3),
+    partition (3), company prefix and item reference (44 split by the
+    partition row), serial (38). A company prefix or item reference within
+    its digit count always fits its bits: 10**digits < 2**bits on every row.
+    """
+    company_bits, _, item_bits, _ = SGTIN96_PARTITIONS[partition]
+    value = (SGTIN96_HEADER << 3 | filter_value) << 3 | partition
+    value = (value << company_bits | company_prefix) << item_bits | item_reference
+    return value << SGTIN96_SERIAL_BITS | serial
+
+
+def encode_sgtin96(fields: Sgtin96Fields) -> int:
+    """Pack SGTIN-96 fields into the 96-bit binary form (see :func:`pack_sgtin96`)."""
+    return pack_sgtin96(
+        fields.filter_value,
+        fields.partition,
+        fields.company_prefix,
+        fields.item_reference,
+        fields.serial,
+    )
+
+
+def decode_sgtin96(value: int) -> Sgtin96Fields:
+    """Inverse of :func:`encode_sgtin96` on values that have a tag URI form."""
+    if not 0 <= value < 1 << 96:
+        raise FieldRangeError(f"value {value:#x} does not fit 96 bits")
+    partition, company_prefix, item_reference = _check_sgtin96(value)
     return Sgtin96Fields(
         filter_value=(value >> 85) & 0x7,
         partition=partition,
         company_prefix=company_prefix,
         item_reference=item_reference,
-        serial=value & ((1 << SGTIN96_SERIAL_BITS) - 1),
+        serial=value & _SGTIN96_SERIAL_MASK,
     )
 
 
@@ -274,17 +307,13 @@ def _parse_sgtin96(text: str, fields: list[str]) -> Epc:
             f"for a {len(company_field)}-digit company prefix"
         )
     serial = _parse_serial(serial_field, SGTIN96_SERIAL_BITS)
-    sgtin = Sgtin96Fields(
-        filter_value=filter_value,
-        partition=partition,
-        company_prefix=int(company_field),
-        item_reference=int(item_field),
-        serial=serial,
+    value = pack_sgtin96(
+        filter_value, partition, int(company_field), int(item_field), serial
     )
     return Epc(
         scheme=EpcScheme.SGTIN96,
         declared_bits=96,
-        value=encode_sgtin96(sgtin),
+        value=value,
         serial_number=serial,
         uri=text,
     )
@@ -359,12 +388,16 @@ def render_tag_uri(epc: Epc) -> str:
 def company_prefix_of(epc: Epc) -> str | None:
     """Company-prefix digits of an EPC, leading zeros preserved.
 
-    Decoded from the binary value for SGTIN-96, read back from the parsed
-    URI otherwise; ``None`` when the EPC carries neither.
+    Read from the binary value for SGTIN-96, read back from the parsed URI
+    otherwise; ``None`` when the EPC carries neither.
     """
-    if epc.scheme is EpcScheme.SGTIN96 and epc.value is not None:
-        f = decode_sgtin96(epc.value)
-        return f"{f.company_prefix:0{f.company_digits}d}"
+    value = epc.value
+    if epc.scheme is EpcScheme.SGTIN96 and value is not None:
+        # the Epc checked its partition and digit counts when it was built
+        row = SGTIN96_PARTITIONS[(value >> 82) & 0x7]
+        company_bits, company_digits, item_bits, _ = row
+        company_prefix = (value >> (38 + item_bits)) & ((1 << company_bits) - 1)
+        return f"{company_prefix:0{company_digits}d}"
     if epc.uri is not None and epc.uri.startswith(_URI_PREFIX):
         fields = epc.uri.rpartition(":")[2].split(".")
         if len(fields) >= 2:

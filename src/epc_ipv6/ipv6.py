@@ -1,17 +1,25 @@
 """128-bit IPv6 address values and their canonical text form.
 
-Text conversion is delegated to the stdlib ``ipaddress`` module, whose
-output follows the canonical rules this package promises: lowercase hex,
-no leading zeros inside a group, the longest zero run (leftmost on ties)
-compressed to ``::``, and a single zero group never compressed.
+Formatting is hand-written to RFC 5952: lowercase hex, no leading zeros
+inside a group, the longest run of two or more zero groups (leftmost on
+ties) compressed to ``::``, and a single zero group never compressed.
+Parsing stays on the stdlib ``ipaddress`` module, which accepts every
+full, zero-suppressed and ``::``-compressed form.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import struct
 from dataclasses import dataclass
 
 from .errors import Ipv6TextError
+
+_GROUPS = struct.Struct(">8H").unpack
+# a colon on each side of every group, so ":0:" only matches a whole zero group
+_SENTINEL_TEXT = ":%x:%x:%x:%x:%x:%x:%x:%x:"
+# zero runs to compress, longest first; str.find returns the leftmost
+_ZERO_RUNS = tuple(":0" * k + ":" for k in range(8, 1, -1))
 
 
 @dataclass(frozen=True, order=True)
@@ -42,4 +50,10 @@ def parse_ipv6(text: str) -> Ipv6Address:
 
 def format_canonical(addr: Ipv6Address) -> str:
     """Canonical text form of an address; inverse of :func:`parse_ipv6`."""
-    return str(ipaddress.IPv6Address(addr.value))
+    text = _SENTINEL_TEXT % _GROUPS(addr.value.to_bytes(16, "big"))
+    for run in _ZERO_RUNS:
+        start = text.find(run)
+        if start >= 0:
+            # the run's outer colons become "::"; drop the sentinels that remain
+            return text[1:start] + "::" + text[start + len(run):-1]
+    return text[1:-1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -32,6 +33,15 @@ class TestGeneratePopulation:
     def test_deterministic(self):
         spec = PopulationSpec(scheme=EpcScheme.SGTIN96, count=1000, seed=42)
         assert generate_population(spec) == generate_population(spec)
+
+    def test_sgtin_population_pinned(self):
+        # digest of the population as first generated; a change to the draw
+        # order (partition, filter, company prefix, item reference) breaks it
+        spec = PopulationSpec(scheme=EpcScheme.SGTIN96, count=1000, seed=42)
+        packed = b"".join(e.value.to_bytes(12, "big") for e in generate_population(spec))
+        assert hashlib.sha256(packed).hexdigest() == (
+            "70c130d82827b4b4ad0d57e513d45da4ab1a5716eddb0ac0e474e6bee70b7fc7"
+        )
 
     def test_seed_changes_population(self):
         a = generate_population(PopulationSpec(scheme=EpcScheme.SGTIN96, count=50, seed=1))

@@ -12,7 +12,7 @@ from epc_ipv6 import (
     parse_tag_uri,
     render_tag_uri,
 )
-from epc_ipv6.epc import SGTIN96_HEADER, SGTIN96_PARTITIONS
+from epc_ipv6.epc import SGTIN96_HEADER, SGTIN96_PARTITIONS, pack_sgtin96
 from epc_ipv6.errors import (
     FieldRangeError,
     InvalidPartitionError,
@@ -115,6 +115,17 @@ class TestSgtin96Codec:
     @given(sgtin_fields())
     def test_round_trip(self, fields):
         assert decode_sgtin96(encode_sgtin96(fields)) == fields
+
+    @given(sgtin_fields())
+    def test_packer_agrees_with_encoder(self, fields):
+        packed = pack_sgtin96(
+            fields.filter_value,
+            fields.partition,
+            fields.company_prefix,
+            fields.item_reference,
+            fields.serial,
+        )
+        assert packed == encode_sgtin96(fields)
 
     def test_wrong_header(self):
         with pytest.raises(WrongHeaderError):
@@ -280,6 +291,36 @@ class TestEpcInvariants:
         with pytest.raises(ValueError):
             Epc(scheme=EpcScheme.RAW, declared_bits=8)
 
+    def test_sgtin_wrong_header_rejected(self):
+        with pytest.raises(WrongHeaderError):
+            Epc(scheme=EpcScheme.SGTIN96, declared_bits=96, value=0x31 << 88, serial_number=0)
+
+    def test_sgtin_partition_7_rejected(self):
+        value = (SGTIN96_HEADER << 88) | (7 << 82)
+        with pytest.raises(InvalidPartitionError):
+            Epc(scheme=EpcScheme.SGTIN96, declared_bits=96, value=value, serial_number=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            Sgtin96Fields(1, 6, 10**6, 0, 5),  # 7-digit company prefix at partition 6
+            Sgtin96Fields(1, 0, 0, 10, 5),  # 2-digit item reference at partition 0
+        ],
+    )
+    def test_sgtin_digits_past_partition_row_rejected(self, fields):
+        with pytest.raises(FieldRangeError):
+            Epc(
+                scheme=EpcScheme.SGTIN96, declared_bits=96,
+                value=encode_sgtin96(fields), serial_number=fields.serial,
+            )
+
+    def test_sgtin_serial_must_match_value(self):
+        with pytest.raises(ValueError):
+            Epc(
+                scheme=EpcScheme.SGTIN96, declared_bits=96,
+                value=GOLDEN_SGTIN96, serial_number=6790,
+            )
+
     def test_raw_width_bounds(self):
         with pytest.raises(ValueError):
             Epc(scheme=EpcScheme.RAW, declared_bits=0, value=0)
@@ -295,6 +336,11 @@ class TestCompanyPrefix:
 
     def test_from_stored_uri(self):
         epc = parse_tag_uri("urn:epc:tag:giai-96:0.0614141.5678")
+        assert company_prefix_of(epc) == "0614141"
+
+    def test_sgtin_value_read_without_decoding(self, monkeypatch):
+        epc = parse_tag_uri(GOLDEN_URI)
+        monkeypatch.setattr("epc_ipv6.epc.Sgtin96Fields", None)
         assert company_prefix_of(epc) == "0614141"
 
     def test_raw_has_none(self):

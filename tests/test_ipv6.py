@@ -1,3 +1,4 @@
+import ipaddress
 import re
 
 import pytest
@@ -94,6 +95,26 @@ class TestFormat:
     def test_str_is_canonical(self):
         assert str(Ipv6Address(1)) == "::1"
 
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            # RFC 5952 section 4: lowercase, no leading zeros, longest run wins,
+            # leftmost run on ties, a single zero group stays, runs at either end
+            ("2001:0DB8:0000:0000:0000:0000:0002:0001", "2001:db8::2:1"),
+            ("2001:db8:0:0:1:0:0:1", "2001:db8::1:0:0:1"),
+            ("2001:db8:0:1:1:1:1:1", "2001:db8:0:1:1:1:1:1"),
+            ("0:0:1:2:3:4:5:6", "::1:2:3:4:5:6"),
+            ("1:2:3:4:5:6:0:0", "1:2:3:4:5:6::"),
+            ("1:0:0:0:0:0:0:0", "1::"),
+            ("0:0:0:0:0:0:0:0", "::"),
+            ("0:1:0:0:0:0:0:0", "0:1::"),
+            ("0:0:0:0:0:0:1:0", "::1:0"),
+            ("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"),
+        ],
+    )
+    def test_rfc5952_section_4(self, text, canonical):
+        assert format_canonical(parse_ipv6(text)) == canonical
+
 
 class TestParse:
     def test_full_form(self):
@@ -138,3 +159,26 @@ class TestRoundTrip:
     @given(st.integers(min_value=0, max_value=2**128 - 1))
     def test_format_is_canonical(self, value):
         groups_of(format_canonical(Ipv6Address(value)))
+
+
+def _from_groups(groups: list[int]) -> int:
+    value = 0
+    for group in groups:
+        value = (value << 16) | group
+    return value
+
+
+# each group is drawn from {0, 0, small, any}, so zero runs of every length are common
+zero_heavy_values = st.lists(
+    st.one_of(st.just(0), st.just(0), st.integers(1, 0xF), st.integers(0, 0xFFFF)),
+    min_size=8,
+    max_size=8,
+).map(_from_groups)
+
+
+class TestAgainstStdlib:
+    @given(st.integers(min_value=0, max_value=2**128 - 1) | zero_heavy_values)
+    def test_format_matches_ipaddress(self, value):
+        text = format_canonical(Ipv6Address(value))
+        assert text == ipaddress.IPv6Address(value).compressed
+        assert parse_ipv6(text) == Ipv6Address(value)

@@ -15,7 +15,12 @@ from epc_ipv6 import (
     resolve,
 )
 from epc_ipv6.epc import SGTIN96_PARTITIONS
-from epc_ipv6.errors import DuplicatePatternError, NoMatchError, RegistryError
+from epc_ipv6.errors import (
+    DuplicatePatternError,
+    NoMatchError,
+    RegistryError,
+    WrongHeaderError,
+)
 
 from conftest import ONS_TEXT
 
@@ -168,6 +173,22 @@ class TestResolve:
             )
         )
         assert resolve(specific_only, sgtin_epc) == resolve(with_fallbacks, sgtin_epc)
+
+    @pytest.mark.parametrize(
+        "patterns", [["*"], ["sgtin-96"], ["sgtin-96:0614141", "*"]]
+    )
+    def test_invalid_sgtin_value_fails_whatever_the_registry(self, patterns):
+        # header 0x31 once resolved to the wildcard or scheme record, and
+        # raised only when a company record made resolve decode the value
+        registry = OnsRegistry(records=tuple(record(p, A) for p in patterns))
+        with pytest.raises(WrongHeaderError):
+            resolve(
+                registry,
+                Epc(
+                    scheme=EpcScheme.SGTIN96, declared_bits=96,
+                    value=0x31 << 88, serial_number=0,
+                ),
+            )
 
 
 class TestOrdering:

@@ -23,13 +23,6 @@ from .addressing import (
     method_function,
     plan,
 )
-from .bench import (
-    BenchReport,
-    PopulationSpec,
-    TimingStats,
-    evaluate,
-    generate_population,
-)
 from .epc import (
     Epc,
     EpcScheme,
@@ -45,6 +38,20 @@ from .ipv6 import Ipv6Address, format_canonical, parse_ipv6
 from .ons import OnsRecord, OnsRegistry, load_registry, resolve
 
 __version__ = "0.1.0"
+
+# the benchmark harness loads on first use (PEP 562), off the CLI's derive path
+_BENCH_NAMES = frozenset(
+    {"BenchReport", "PopulationSpec", "TimingStats", "evaluate", "generate_population"}
+)
+
+
+def __getattr__(name: str):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AddressingMethodId",

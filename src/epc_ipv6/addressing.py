@@ -13,11 +13,11 @@ reproducible golden vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
 from functools import partial
-from typing import Callable
 
+from ._frozen import Frozen, setfield
 from .epc import Epc, EpcScheme, bit_length
 from .errors import (
     EpcTooWideError,
@@ -39,22 +39,25 @@ class PayloadSource(str, Enum):
     SERIAL_NUMBER = "serial_number"
 
 
-@dataclass(frozen=True)
-class DerivationPlan:
+class DerivationPlan(Frozen):
     """Bit budget of one hybrid derivation: n payload bits, 128-n prefix bits."""
 
+    __slots__ = _fields = ("source", "input_bits", "prefix_bits")
     source: PayloadSource
     input_bits: int
     prefix_bits: int
 
-    def __post_init__(self):
-        if not 1 <= self.input_bits <= IPV6_BITS:
-            raise ValueError(f"input_bits {self.input_bits} outside 1..{IPV6_BITS}")
-        if self.input_bits + self.prefix_bits != IPV6_BITS:
+    def __init__(self, source: PayloadSource, input_bits: int, prefix_bits: int):
+        if not 1 <= input_bits <= IPV6_BITS:
+            raise ValueError(f"input_bits {input_bits} outside 1..{IPV6_BITS}")
+        if input_bits + prefix_bits != IPV6_BITS:
             raise ValueError(
-                f"input_bits {self.input_bits} + prefix_bits {self.prefix_bits} "
+                f"input_bits {input_bits} + prefix_bits {prefix_bits} "
                 f"must equal {IPV6_BITS}"
             )
+        setfield(self, "source", source)
+        setfield(self, "input_bits", input_bits)
+        setfield(self, "prefix_bits", prefix_bits)
 
 
 class AddressingMethodId(str, Enum):

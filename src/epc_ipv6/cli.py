@@ -12,11 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from .addressing import AddressingMethodId, TagStandard, method_function
-from .bench import CSV_HEADER, PopulationSpec, evaluate, generate_population
 from .epc import Epc, EpcScheme, bit_length, parse_tag_uri
 from .errors import (
     DerivationError,
@@ -52,8 +49,9 @@ def _stage_error(stage: str, exc: Exception, exit_code: int) -> CliError:
     return CliError(stage, f"{type(exc).__name__}: {exc}", exit_code)
 
 
-@dataclass
 class CliConfig:
+    """Settings from the config file; a key the file leaves out keeps its default."""
+
     registry_path: str | None = None
     default_method: AddressingMethodId = AddressingMethodId.HYBRID_ONS
     output_format: str = "text"
@@ -65,7 +63,8 @@ def load_config(environ=os.environ) -> CliConfig:
     if not path:
         return CliConfig()
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            data = json.load(file)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError("config", f"cannot load {path}: {exc}", EXIT_USAGE) from exc
     if not isinstance(data, dict):
@@ -78,7 +77,13 @@ def load_config(environ=os.environ) -> CliConfig:
         )
     config = CliConfig()
     if "registry_path" in data:
-        config.registry_path = str(data["registry_path"])
+        registry_path = data["registry_path"]
+        if not isinstance(registry_path, str):
+            raise CliError(
+                "config", f"registry_path must be a string, got {registry_path!r}",
+                EXIT_USAGE,
+            )
+        config.registry_path = registry_path
     if "default_method" in data:
         try:
             config.default_method = AddressingMethodId(data["default_method"])
@@ -195,6 +200,9 @@ def cmd_resolve(args, config: CliConfig) -> int:
 
 
 def cmd_bench(args, config: CliConfig) -> int:
+    # the harness loads here, so the other commands never import it
+    from .bench import CSV_HEADER, PopulationSpec, evaluate, generate_population
+
     registry_path = args.registry or config.registry_path
     if registry_path is None:
         raise CliError("usage", "--registry or a config registry_path is required",
@@ -244,7 +252,8 @@ def cmd_bench(args, config: CliConfig) -> int:
 
     if args.out:
         try:
-            Path(args.out).write_text(output, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as file:
+                file.write(output)
         except OSError as exc:
             raise _stage_error("output", exc, EXIT_USAGE) from exc
     else:

@@ -9,9 +9,9 @@ and item reference in the binary form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._frozen import Frozen, setfield
 from .errors import (
     FieldRangeError,
     InvalidPartitionError,
@@ -79,38 +79,52 @@ def bit_length(value: int) -> int:
     return value.bit_length() or 1
 
 
-@dataclass(frozen=True)
-class Sgtin96Fields:
+class Sgtin96Fields(Frozen):
     """The five SGTIN-96 fields below the fixed 0x30 header byte.
 
     Bounds are the binary field widths; the stricter per-partition digit
     counts of the URI grammar are enforced when decoding or parsing URIs.
     """
 
+    __slots__ = _fields = (
+        "filter_value", "partition", "company_prefix", "item_reference", "serial"
+    )
     filter_value: int
     partition: int
     company_prefix: int
     item_reference: int
     serial: int
 
-    def __post_init__(self):
-        if not 0 <= self.filter_value <= 7:
-            raise FieldRangeError(f"filter value {self.filter_value} outside 0..7")
-        if self.partition not in SGTIN96_PARTITIONS:
-            raise InvalidPartitionError(f"partition {self.partition} outside 0..6")
-        company_bits, _, item_bits, _ = SGTIN96_PARTITIONS[self.partition]
-        if not 0 <= self.company_prefix < 1 << company_bits:
+    def __init__(
+        self,
+        filter_value: int,
+        partition: int,
+        company_prefix: int,
+        item_reference: int,
+        serial: int,
+    ):
+        if not 0 <= filter_value <= 7:
+            raise FieldRangeError(f"filter value {filter_value} outside 0..7")
+        if partition not in SGTIN96_PARTITIONS:
+            raise InvalidPartitionError(f"partition {partition} outside 0..6")
+        company_bits, _, item_bits, _ = SGTIN96_PARTITIONS[partition]
+        if not 0 <= company_prefix < 1 << company_bits:
             raise FieldRangeError(
-                f"company prefix {self.company_prefix} overflows {company_bits} bits"
+                f"company prefix {company_prefix} overflows {company_bits} bits"
             )
-        if not 0 <= self.item_reference < 1 << item_bits:
+        if not 0 <= item_reference < 1 << item_bits:
             raise FieldRangeError(
-                f"item reference {self.item_reference} overflows {item_bits} bits"
+                f"item reference {item_reference} overflows {item_bits} bits"
             )
-        if not 0 <= self.serial < 1 << SGTIN96_SERIAL_BITS:
+        if not 0 <= serial < 1 << SGTIN96_SERIAL_BITS:
             raise FieldRangeError(
-                f"serial {self.serial} overflows {SGTIN96_SERIAL_BITS} bits"
+                f"serial {serial} overflows {SGTIN96_SERIAL_BITS} bits"
             )
+        setfield(self, "filter_value", filter_value)
+        setfield(self, "partition", partition)
+        setfield(self, "company_prefix", company_prefix)
+        setfield(self, "item_reference", item_reference)
+        setfield(self, "serial", serial)
 
     @property
     def company_digits(self) -> int:
@@ -121,8 +135,7 @@ class Sgtin96Fields:
         return SGTIN96_PARTITIONS[self.partition][3]
 
 
-@dataclass(frozen=True)
-class Epc:
+class Epc(Frozen):
     """A parsed Electronic Product Code.
 
     ``value`` is the full binary EPC as one unsigned integer; it is absent
@@ -130,44 +143,55 @@ class Epc:
     where only the serial/individual-reference component is kept.
     """
 
+    __slots__ = _fields = ("scheme", "declared_bits", "value", "serial_number", "uri")
     scheme: EpcScheme
     declared_bits: int
-    value: int | None = None
-    serial_number: int | None = None
-    uri: str | None = None
+    value: int | None
+    serial_number: int | None
+    uri: str | None
 
-    def __post_init__(self):
-        if self.scheme is EpcScheme.RAW:
-            if not 1 <= self.declared_bits <= 256:
-                raise ValueError(f"raw EPC width {self.declared_bits} outside 1..256")
-            if self.value is None:
+    def __init__(
+        self,
+        scheme: EpcScheme,
+        declared_bits: int,
+        value: int | None = None,
+        serial_number: int | None = None,
+        uri: str | None = None,
+    ):
+        if scheme is EpcScheme.RAW:
+            if not 1 <= declared_bits <= 256:
+                raise ValueError(f"raw EPC width {declared_bits} outside 1..256")
+            if value is None:
                 raise ValueError("raw EPC must carry a numeric value")
-            max_serial_bits = self.declared_bits
+            max_serial_bits = declared_bits
         else:
-            if self.declared_bits != 96:
+            if declared_bits != 96:
                 raise ValueError(
-                    f"{self.scheme.value} is 96 bits wide, "
-                    f"got declared_bits={self.declared_bits}"
+                    f"{scheme.value} is 96 bits wide, "
+                    f"got declared_bits={declared_bits}"
                 )
-            if self.serial_number is None:
-                raise ValueError(f"{self.scheme.value} EPC must carry a serial number")
-            max_serial_bits = SERIAL_BITS[self.scheme]
-        if self.value is not None and not 0 <= self.value < 1 << self.declared_bits:
+            if serial_number is None:
+                raise ValueError(f"{scheme.value} EPC must carry a serial number")
+            max_serial_bits = SERIAL_BITS[scheme]
+        if value is not None and not 0 <= value < 1 << declared_bits:
+            raise ValueError(f"value {value:#x} does not fit {declared_bits} bits")
+        if serial_number is not None and not 0 <= serial_number < 1 << max_serial_bits:
             raise ValueError(
-                f"value {self.value:#x} does not fit {self.declared_bits} bits"
+                f"serial {serial_number} overflows the "
+                f"{max_serial_bits}-bit serial field of {scheme.value}"
             )
-        serial = self.serial_number
-        if serial is not None and not 0 <= serial < 1 << max_serial_bits:
-            raise ValueError(
-                f"serial {serial} overflows the "
-                f"{max_serial_bits}-bit serial field of {self.scheme.value}"
-            )
-        if self.scheme is EpcScheme.SGTIN96 and self.value is not None:
-            _check_sgtin96(self.value)
-            if serial != self.value & _SGTIN96_SERIAL_MASK:
+        if scheme is EpcScheme.SGTIN96 and value is not None:
+            _check_sgtin96(value)
+            if serial_number != value & _SGTIN96_SERIAL_MASK:
                 raise ValueError(
-                    f"serial {serial} is not the serial field of value {self.value:#x}"
+                    f"serial {serial_number} is not the serial field "
+                    f"of value {value:#x}"
                 )
+        setfield(self, "scheme", scheme)
+        setfield(self, "declared_bits", declared_bits)
+        setfield(self, "value", value)
+        setfield(self, "serial_number", serial_number)
+        setfield(self, "uri", uri)
 
 
 def _check_sgtin96(value: int) -> tuple[int, int, int]:

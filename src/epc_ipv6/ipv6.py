@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from dataclasses import dataclass
 
+from ._frozen import Frozen, setfield
 from .errors import Ipv6TextError
 
 _GROUPS = struct.Struct(">8H").unpack
@@ -22,15 +22,36 @@ _SENTINEL_TEXT = ":%x:%x:%x:%x:%x:%x:%x:%x:"
 _ZERO_RUNS = tuple(":0" * k + ":" for k in range(8, 1, -1))
 
 
-@dataclass(frozen=True, order=True)
-class Ipv6Address:
-    """An IPv6 address as one unsigned 128-bit integer."""
+class Ipv6Address(Frozen):
+    """An IPv6 address as one unsigned 128-bit integer; ordered by value."""
 
+    __slots__ = _fields = ("value",)
     value: int
 
-    def __post_init__(self):
-        if not 0 <= self.value < 1 << 128:
-            raise ValueError(f"address value {self.value:#x} does not fit 128 bits")
+    def __init__(self, value: int):
+        if not 0 <= value < 1 << 128:
+            raise ValueError(f"address value {value:#x} does not fit 128 bits")
+        setfield(self, "value", value)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value < other.value
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value <= other.value
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value > other.value
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value >= other.value
 
     def __str__(self) -> str:
         return format_canonical(self)

@@ -10,9 +10,9 @@ lookup probes scheme+company, then scheme, then wildcard: the precedence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+import os
 
+from ._frozen import Frozen, setfield
 from .epc import Epc, EpcScheme, company_prefix_of
 from .errors import DuplicatePatternError, Ipv6TextError, NoMatchError, RegistryError
 from .ipv6 import Ipv6Address, parse_ipv6
@@ -42,45 +42,54 @@ def _parse_pattern(pattern: str) -> PatternKey:
     return scheme, company
 
 
-@dataclass(frozen=True)
-class OnsRecord:
-    """One registry entry: a pattern and the ONS address it maps to."""
+class OnsRecord(Frozen):
+    """One registry entry: a pattern and the ONS address it maps to.
 
+    ``key`` is the pattern parsed once, when the record is built; it takes
+    no part in equality or the repr.
+    """
+
+    _fields = ("pattern", "ons_ip")
+    __slots__ = _fields + ("key",)
     pattern: str
     ons_ip: Ipv6Address
-    key: PatternKey = field(init=False, repr=False, compare=False)
+    key: PatternKey
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", _parse_pattern(self.pattern))
+    def __init__(self, pattern: str, ons_ip: Ipv6Address):
+        setfield(self, "pattern", pattern)
+        setfield(self, "ons_ip", ons_ip)
+        setfield(self, "key", _parse_pattern(pattern))
 
 
-@dataclass(frozen=True)
-class OnsRegistry:
+class OnsRegistry(Frozen):
     """Immutable collection of records, kept most-specific-first."""
 
+    _fields = ("records",)
+    __slots__ = _fields + ("_index", "_company_schemes")
     records: tuple[OnsRecord, ...]
 
-    def __post_init__(self):
+    def __init__(self, records: tuple[OnsRecord, ...]):
         index: dict[PatternKey, Ipv6Address] = {}
-        for record in self.records:
+        for record in records:
             if record.key in index:
                 raise DuplicatePatternError(f"duplicate pattern {record.pattern!r}")
             index[record.key] = record.ons_ip
         # fewer None positions is more specific; the sort keeps input order on ties
-        records = sorted(self.records, key=lambda record: record.key.count(None))
-        object.__setattr__(self, "records", tuple(records))
-        object.__setattr__(self, "_index", index)
+        records = sorted(records, key=lambda record: record.key.count(None))
+        setfield(self, "records", tuple(records))
+        setfield(self, "_index", index)
         # only these schemes make resolve look up a company prefix
-        object.__setattr__(self, "_company_schemes", {s for s, c in index if c})
+        setfield(self, "_company_schemes", {s for s, c in index if c})
 
     def resolve(self, epc: Epc) -> Ipv6Address:
         return resolve(self, epc)
 
 
-def load_registry(path: str | Path) -> OnsRegistry:
+def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
     """Load and validate a registry file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise RegistryError(f"cannot read registry {path}: {exc}") from exc
     try:

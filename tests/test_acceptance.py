@@ -5,6 +5,7 @@ criterion. Budgets are generous wall-clock ceilings, not benchmarks.
 """
 
 import random
+import statistics
 import time
 from itertools import combinations
 
@@ -183,14 +184,23 @@ def test_criterion_9_bench_sanity(wildcard_registry_path):
     population = generate_population(
         PopulationSpec(scheme=EpcScheme.RAW, count=100_000, seed=0xC9, serial_width_bits=48)
     )
-    hybrid = evaluate(AddressingMethodId.HYBRID_ONS, population, registry)
-    direct = evaluate(AddressingMethodId.DIRECT64, population, registry)
-    ratio = hybrid.timing.mean / direct.timing.mean
-    assert hybrid.timing.mean <= 2 * direct.timing.mean, (
-        f"hybrid mean {hybrid.timing.mean:.3e} s vs direct64 {direct.timing.mean:.3e} s"
+    # host speed drifts over seconds: interleave the methods round by round,
+    # alternate which runs first, and compare medians of the per-round means
+    rounds = 7
+    methods = [AddressingMethodId.HYBRID_ONS, AddressingMethodId.DIRECT64]
+    means = {method: [] for method in methods}
+    for round_ in range(rounds):
+        for method in methods if round_ % 2 == 0 else methods[::-1]:
+            means[method].append(evaluate(method, population, registry).timing.mean)
+    hybrid = statistics.median(means[AddressingMethodId.HYBRID_ONS])
+    direct = statistics.median(means[AddressingMethodId.DIRECT64])
+    ratio = hybrid / direct
+    assert hybrid <= 2 * direct, (
+        f"hybrid median of round means {hybrid:.3e} s vs direct64 {direct:.3e} s"
     )
     _report(
         9,
-        f"hybrid mean {hybrid.timing.mean*1e9:.0f} ns is {ratio:.2f}x direct64 "
-        f"({direct.timing.mean*1e9:.0f} ns) on 10^5 population",
+        f"hybrid median round mean {hybrid*1e9:.0f} ns is {ratio:.2f}x direct64 "
+        f"({direct*1e9:.0f} ns) over {rounds} interleaved rounds "
+        f"on 10^5 population",
     )

@@ -349,6 +349,16 @@ class TestConfigFile:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
         assert main(["derive", "0x1", "--ons", "::"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("registry_path", [None, 5, ["r.json"], True])
+    def test_non_string_registry_path_is_usage_error(
+        self, capsys, monkeypatch, tmp_path, registry_path
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"registry_path": registry_path}))
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+        assert main(["derive", "0x1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config: ")
+
     def test_output_format_from_config(self, capsys, monkeypatch, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"output_format": "structured"}))

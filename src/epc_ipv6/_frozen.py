@@ -2,11 +2,13 @@
 
 A subclass lists its constructor arguments in ``_fields`` and every stored
 attribute in ``__slots__``, and sets them in ``__init__`` through
-``setfield`` (``object.__setattr__``). Equality and hashing compare the fields of two
-values of the same class; pickle and copy rebuild a value by calling the
-class with its fields, so its checks run again and derived slots are
-recomputed.
+``setfield`` (``object.__setattr__``). Equality and hashing compare the
+fields of two values of the same class; pickle and copy rebuild a value by
+calling the class with its fields, so its checks run again and derived
+slots are recomputed.
 """
+
+from operator import attrgetter
 
 # what a subclass's __init__ uses to set a field past the raising __setattr__
 setfield = object.__setattr__
@@ -16,10 +18,18 @@ class Frozen:
     """Base of the package's immutable value types."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # class patterns such as ``case Epc(scheme, bits)`` bind fields in order
+        cls.__match_args__ = cls._fields
+        # one attrgetter reads every field; given one name it returns a bare value
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:
+            cls._astuple = lambda self: (get(self),)
+        else:
+            cls._astuple = lambda self: get(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -2,7 +2,8 @@
 
 Each type is built positionally and by keyword; equal values compare and
 hash equal, fields cannot be assigned or deleted, the repr names every
-field, and pickle and deepcopy give back an equal, working value.
+field, class patterns bind fields in order, and pickle and deepcopy give
+back an equal, working value.
 """
 
 import copy
@@ -145,6 +146,17 @@ def test_copy_and_deepcopy(case):
         assert type(restored) is cls
         assert restored == value
         assert hash(restored) == hash(value)
+
+
+def test_class_pattern_binds_fields_in_order(case):
+    cls, value, _, _, _ = case
+    names = _field_names(value)
+    match value:
+        case cls(first):
+            assert first == getattr(value, names[0])
+        case _:
+            raise AssertionError(f"{cls.__name__} did not match its class pattern")
+    assert cls.__match_args__ == names
 
 
 def test_restored_registry_still_resolves():

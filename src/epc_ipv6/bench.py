@@ -15,7 +15,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from operator import attrgetter, itemgetter, xor
 
 from .addressing import AddressingMethodId, TagStandard, method_function
 from .epc import SERIAL_BITS, SGTIN96_PARTITIONS, Epc, EpcScheme, pack_sgtin96
@@ -24,6 +24,13 @@ from .ipv6 import Ipv6Address
 from .ons import OnsRegistry, resolve
 
 CSV_HEADER = "method,population,distinct,collisions,mean_time,p99_time"
+
+# derivations per clock pair in evaluate; each chunk's mean is one timing sample
+DERIVE_CHUNK = 1024
+# example members listed per collision group in JSON reports
+_GROUP_EXAMPLES = 4
+
+_value = attrgetter("value")
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,11 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class TimingStats:
-    """Derivation wall-clock statistics in seconds."""
+    """Derivation wall-clock statistics in seconds.
+
+    ``total`` sums the timed chunks, ``mean`` is ``total`` per EPC, and
+    ``p99`` is the 99th percentile of the chunks' per-call means.
+    """
 
     total: float
     mean: float
@@ -69,19 +80,29 @@ class BenchReport:
     method: AddressingMethodId
     population_size: int
     distinct_addresses: int
-    collision_pairs: tuple[tuple[Epc, Epc, Ipv6Address], ...]
+    collision_groups: tuple[tuple[Ipv6Address, tuple[Epc, ...]], ...]
     shared_prefix_depth: dict[int, int]
     timing: TimingStats
+
+    @property
+    def collision_pair_count(self) -> int:
+        """Unordered pairs of EPCs that derived the same address."""
+        return sum(len(epcs) * (len(epcs) - 1) // 2 for _, epcs in self.collision_groups)
 
     def to_dict(self) -> dict:
         return {
             "method": self.method.value,
             "population_size": self.population_size,
             "distinct_addresses": self.distinct_addresses,
-            "collision_pairs": [
-                [_epc_label(a), _epc_label(b), str(addr)]
-                for a, b, addr in self.collision_pairs
+            "collision_groups": [
+                {
+                    "address": str(address),
+                    "members": len(epcs),
+                    "examples": [_epc_label(epc) for epc in epcs[:_GROUP_EXAMPLES]],
+                }
+                for address, epcs in self.collision_groups
             ],
+            "collision_pair_count": self.collision_pair_count,
             "shared_prefix_depth": {
                 str(depth): count
                 for depth, count in sorted(self.shared_prefix_depth.items())
@@ -99,7 +120,7 @@ class BenchReport:
     def csv_row(self) -> str:
         return (
             f"{self.method.value},{self.population_size},"
-            f"{self.distinct_addresses},{len(self.collision_pairs)},"
+            f"{self.distinct_addresses},{self.collision_pair_count},"
             f"{self.timing.mean:.3e},{self.timing.p99:.3e}"
         )
 
@@ -181,10 +202,6 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
     ]
 
 
-def _common_prefix_bits(a: int, b: int) -> int:
-    return 128 - (a ^ b).bit_length()
-
-
 def evaluate(
     method: AddressingMethodId,
     population: list[Epc],
@@ -194,9 +211,10 @@ def evaluate(
 ) -> BenchReport:
     """Derive one address per EPC and report collisions, hierarchy, timing.
 
-    Every unordered pair of EPCs that derived the same address is listed;
-    the shared-prefix histogram counts, per EPC, how many leading bits the
-    derived address shares with that EPC's resolved ONS address.
+    EPCs that derived the same address form one collision group; the
+    shared-prefix histogram counts, per EPC, how many leading bits the
+    derived address shares with that EPC's resolved ONS address. Only the
+    derivations are timed, one clock pair per chunk of ``DERIVE_CHUNK``.
     """
     if not population:
         raise ValueError("population must not be empty")
@@ -209,49 +227,64 @@ def evaluate(
 
     fn = method_function(method, salt=salt, standard=standard)
     derived: list[Ipv6Address] = []
-    durations: list[float] = []
+    total = 0.0
+    chunk_means: list[float] = []
     perf_counter = time.perf_counter
-    # collector pauses would land in arbitrary samples and skew the stats
+    # collector pauses would land in arbitrary chunks and skew the stats
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for epc, ons in zip(population, ons_addresses):
+        for lo in range(0, len(population), DERIVE_CHUNK):
+            epcs = population[lo:lo + DERIVE_CHUNK]
+            onss = ons_addresses[lo:lo + DERIVE_CHUNK]
+            start = perf_counter()
             try:
-                start = perf_counter()
-                address = fn(epc, ons)
-                durations.append(perf_counter() - start)
-            except EpcIpv6Error as exc:
-                raise EvaluationError("derive", epc, str(exc)) from exc
-            derived.append(address)
+                addresses = list(map(fn, epcs, onss))
+            except EpcIpv6Error:
+                # the chunk does not say which call failed: replay it call by call
+                for epc, ons in zip(epcs, onss):
+                    try:
+                        fn(epc, ons)
+                    except EpcIpv6Error as exc:
+                        raise EvaluationError("derive", epc, str(exc)) from exc
+                raise
+            elapsed = perf_counter() - start
+            total += elapsed
+            chunk_means.append(elapsed / len(epcs))
+            derived += addresses
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    by_address: dict[int, list[int]] = {}
-    for i, address in enumerate(derived):
-        by_address.setdefault(address.value, []).append(i)
-    collision_pairs = tuple(
-        (population[i], population[j], derived[i])
-        for indices in by_address.values()
-        if len(indices) > 1
-        for i, j in combinations(indices, 2)
+    values = list(map(_value, derived))
+    counts = Counter(values)
+    collision_groups = ()
+    if len(counts) < len(values):
+        members: dict[int, list[int]] = {}
+        for i, value in enumerate(values):
+            if counts[value] > 1:
+                members.setdefault(value, []).append(i)
+        # every group has two or more members, so itemgetter returns a tuple
+        collision_groups = tuple(
+            (derived[indices[0]], itemgetter(*indices)(population))
+            for indices in members.values()
+        )
+
+    # an address shares 128 - k leading bits with its ONS address when
+    # their XOR is k bits long
+    differing_bits = Counter(
+        map(int.bit_length, map(xor, values, map(_value, ons_addresses)))
     )
 
-    depth_histogram = Counter(
-        _common_prefix_bits(address.value, ons.value)
-        for address, ons in zip(derived, ons_addresses)
-    )
-
-    total = sum(durations)
-    ordered = sorted(durations)
+    ordered = sorted(chunk_means)
     p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
-    timing = TimingStats(total=total, mean=total / len(durations), p99=p99)
+    timing = TimingStats(total=total, mean=total / len(population), p99=p99)
 
     return BenchReport(
         method=method,
         population_size=len(population),
-        distinct_addresses=len(by_address),
-        collision_pairs=collision_pairs,
-        shared_prefix_depth=dict(depth_histogram),
+        distinct_addresses=len(counts),
+        collision_groups=collision_groups,
+        shared_prefix_depth={128 - k: n for k, n in differing_bits.items()},
         timing=timing,
     )

@@ -78,9 +78,10 @@ def load_config(environ=os.environ) -> CliConfig:
     config = CliConfig()
     if "registry_path" in data:
         registry_path = data["registry_path"]
-        if not isinstance(registry_path, str):
+        if not isinstance(registry_path, str) or not registry_path:
             raise CliError(
-                "config", f"registry_path must be a string, got {registry_path!r}",
+                "config",
+                f"registry_path must be a non-empty string, got {registry_path!r}",
                 EXIT_USAGE,
             )
         config.registry_path = registry_path

@@ -112,7 +112,9 @@ def test_criterion_5_cross_width_collision_oracle(registry_file):
     start = time.perf_counter()
     report = evaluate(AddressingMethodId.HYBRID_ONS, population, registry)
     harness_pairs = {
-        (a.value, b.value) for a, b, _ in report.collision_pairs
+        (a.value, b.value)
+        for _, epcs in report.collision_groups
+        for a, b in combinations(epcs, 2)
     }
 
     derived = [derive_hybrid(epc, ons).value for epc in population]
@@ -124,6 +126,7 @@ def test_criterion_5_cross_width_collision_oracle(registry_file):
     elapsed = time.perf_counter() - start
 
     assert harness_pairs == brute_force  # population[i].value == i
+    assert report.collision_pair_count == len(brute_force)
     assert brute_force, "adversarial ONS must force cross-width collisions"
     assert elapsed < 30.0
     _report(5, f"{len(brute_force)} collision pairs match brute force ({elapsed:.1f} s)")

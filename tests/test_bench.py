@@ -99,13 +99,16 @@ class TestEvaluate:
         report = evaluate(AddressingMethodId.HYBRID_ONS, [epc1, epc2], wildcard_registry)
         assert report.population_size == 2
         assert report.distinct_addresses == 2
-        assert report.collision_pairs == ()
+        assert report.collision_groups == ()
+        assert report.collision_pair_count == 0
 
     def test_duplicate_epc_collides(self, wildcard_registry):
         epc = Epc(scheme=EpcScheme.RAW, declared_bits=16, value=4242, serial_number=4242)
         report = evaluate(AddressingMethodId.HYBRID_ONS, [epc, epc], wildcard_registry)
         assert report.distinct_addresses == 1
-        assert len(report.collision_pairs) == 1
+        address = derive_hybrid(epc, parse_ipv6(ONS_TEXT))
+        assert report.collision_groups == ((address, (epc, epc)),)
+        assert report.collision_pair_count == 1
 
     def test_equal_width_serials_never_collide(self, wildcard_registry):
         population = [
@@ -113,7 +116,7 @@ class TestEvaluate:
             for serial in range(1 << 9, 1 << 10)  # all 512 ten-bit serials
         ]
         report = evaluate(AddressingMethodId.HYBRID_ONS, population, wildcard_registry)
-        assert report.collision_pairs == ()
+        assert report.collision_groups == ()
         assert report.distinct_addresses == len(population)
 
     def test_collisions_match_brute_force(self, registry_file):
@@ -135,9 +138,13 @@ class TestEvaluate:
         }
         got = {
             (population.index(a), population.index(b))
-            for a, b, _ in report.collision_pairs
+            for address, epcs in report.collision_groups
+            for a, b in combinations(epcs, 2)
         }
         assert got == expected
+        assert report.collision_pair_count == len(expected)
+        for address, epcs in report.collision_groups:
+            assert all(derive_hybrid(epc, ons) == address for epc in epcs)
         assert expected, "adversarial ONS must actually produce collisions"
 
     def test_population_and_distinct_account_for_duplicates(self, wildcard_registry):
@@ -177,6 +184,55 @@ class TestEvaluate:
         assert excinfo.value.stage == "derive"
         assert excinfo.value.epc == epc
 
+    @staticmethod
+    def _raw_population_with_giai_at(index):
+        population = [
+            Epc(scheme=EpcScheme.RAW, declared_bits=64, value=v, serial_number=v)
+            for v in range(1 << 40, (1 << 40) + 3000)
+        ]
+        population[index] = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=7)
+        return population
+
+    def test_derive_error_inside_a_chunk_carries_the_failing_epc(self, wildcard_registry):
+        # 2500 is neither the first nor the last EPC of its chunk
+        population = self._raw_population_with_giai_at(2500)
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(AddressingMethodId.DIRECT64, population, wildcard_registry)
+        assert excinfo.value.stage == "derive"
+        assert excinfo.value.epc is population[2500]
+
+    def test_resolve_error_inside_a_chunk_carries_the_failing_epc(self, registry_file):
+        registry = load_registry(registry_file([{"pattern": "raw", "ons_ip": ONS_TEXT}]))
+        population = self._raw_population_with_giai_at(2500)
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(AddressingMethodId.DIRECT64, population, registry)
+        assert excinfo.value.stage == "resolve"
+        assert excinfo.value.epc is population[2500]
+
+    def test_collision_report_is_linear_in_the_population(self, wildcard_registry):
+        # an all-ones OR salt sends every EPC to one address: 2000 members
+        # make 1,999,000 pairs, which the report counts without listing
+        population = generate_population(
+            PopulationSpec(scheme=EpcScheme.SGTIN96, count=2000, seed=4)
+        )
+        report = evaluate(
+            AddressingMethodId.OR_PAD, population, wildcard_registry,
+            salt=0xFFFF_FFFF_FFFF_FFFF,
+        )
+        assert report.distinct_addresses == 1
+        assert len(report.collision_groups) == 1
+        address, epcs = report.collision_groups[0]
+        assert epcs == tuple(population)
+        assert report.collision_pair_count == 1_999_000
+        data = report.to_dict()
+        assert data["collision_groups"] == [{
+            "address": str(address),
+            "members": 2000,
+            "examples": [f"sgtin-96:{epc.value:#x}" for epc in population[:4]],
+        }]
+        assert data["collision_pair_count"] == 1_999_000
+        assert report.csv_row().split(",")[3] == "1999000"
+
     def test_empty_population_rejected(self, wildcard_registry):
         with pytest.raises(ValueError):
             evaluate(AddressingMethodId.HYBRID_ONS, [], wildcard_registry)
@@ -206,7 +262,8 @@ class TestReports:
             "method",
             "population_size",
             "distinct_addresses",
-            "collision_pairs",
+            "collision_groups",
+            "collision_pair_count",
             "shared_prefix_depth",
             "timing",
         }

@@ -359,6 +359,13 @@ class TestConfigFile:
         assert main(["derive", "0x1"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("config: ")
 
+    def test_empty_registry_path_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"registry_path": ""}))
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+        assert main(["derive", "0x1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config: registry_path ")
+
     def test_output_format_from_config(self, capsys, monkeypatch, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"output_format": "structured"}))

@@ -138,7 +138,7 @@ class TestEvaluate:
         }
         got = {
             (population.index(a), population.index(b))
-            for address, epcs in report.collision_groups
+            for _, epcs in report.collision_groups
             for a, b in combinations(epcs, 2)
         }
         assert got == expected
@@ -201,7 +201,7 @@ class TestEvaluate:
         assert excinfo.value.stage == "derive"
         assert excinfo.value.epc is population[2500]
 
-    def test_resolve_error_inside_a_chunk_carries_the_failing_epc(self, registry_file):
+    def test_resolve_error_deep_in_the_population_carries_the_failing_epc(self, registry_file):
         registry = load_registry(registry_file([{"pattern": "raw", "ons_ip": ONS_TEXT}]))
         population = self._raw_population_with_giai_at(2500)
         with pytest.raises(EvaluationError) as excinfo:

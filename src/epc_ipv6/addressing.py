@@ -1,26 +1,26 @@
 """Address derivation strategies.
 
-The hybrid method splices a variable number of high-order bits from the
-ONS server's address onto the EPC (or its serial number): with an n-bit
-payload v, the result is ``(ons >> n << n) | v``, so the low n bits are
-the payload and the remaining 128-n bits keep their ONS values. The five
-baseline methods all use a fixed 64/64 split between network prefix and
-interface identifier.
-
-Every operation here is a pure function of its arguments; outputs are
-reproducible golden vectors.
+Every method is one splice: with an n-bit payload v, the address is
+``(ons >> n << n) | v``, so the low n bits are the payload and the high
+128-n bits are those of the given address. The hybrid method's payload is
+the EPC or its serial number, n its width; the five baselines put a
+64-bit interface id under a 64-bit network prefix. Each method is a
+payload step ``epc -> (payload, n)`` that :func:`integer_kernel` feeds to
+the splice on plain integers. Every operation here is a pure function of
+its arguments; outputs are reproducible golden vectors.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from enum import Enum
-from functools import partial
+from operator import or_, xor
 
 from ._frozen import Frozen, setfield
-from .epc import Epc, EpcScheme, bit_length
+from .epc import Epc, EpcScheme
 from .errors import (
     EpcTooWideError,
+    InvalidOptionError,
     MissingSerialError,
     MissingValueError,
     SerialTooWideError,
@@ -78,184 +78,186 @@ class TagStandard(str, Enum):
     ISO = "iso"
 
 
-# hoisted for the per-derivation hot path
-_RAW = EpcScheme.RAW
-_FULL_EPC = PayloadSource.FULL_EPC
-_SERIAL_NUMBER = PayloadSource.SERIAL_NUMBER
+_RAW = EpcScheme.RAW  # an enum member lookup costs a call on the hot path
 
 
-def _choose_payload(epc: Epc) -> tuple[PayloadSource, int]:
-    """Pick the payload per the hybrid branch rule.
+def _takes_full_epc(epc: Epc) -> bool:
+    """Hybrid branch rule: the payload is the full value of EPCs up to 64 bits
+    wide (raw ones judged by their value's width), else the serial number."""
+    if epc.scheme is _RAW and epc.value is not None:
+        return epc.value.bit_length() <= IID_BITS
+    return epc.declared_bits <= IID_BITS
 
-    EPCs at most 64 bits wide contribute their full value; wider ones
-    contribute the serial number. The branch looks at the declared scheme
-    width, except that raw EPCs are judged by the actual value width.
-    """
-    value = epc.value
-    if epc.declared_bits <= IID_BITS or (
-        epc.scheme is _RAW and value is not None and value.bit_length() <= IID_BITS
-    ):
-        if value is None:
+
+# --- payload steps: epc -> (payload, n); a baseline's payload is its interface id
+
+
+def _hybrid_step(epc: Epc) -> tuple[int, int]:
+    """The hybrid payload and its minimal binary width n, 1 for zero."""
+    if _takes_full_epc(epc):
+        payload = epc.value
+        if payload is None:
             raise MissingValueError("EPC has no numeric value to derive from")
-        return _FULL_EPC, value
-    serial = epc.serial_number
-    if serial is None:
-        raise MissingSerialError(
-            f"{epc.declared_bits}-bit EPC needs a serial number for derivation"
-        )
-    return _SERIAL_NUMBER, serial
-
-
-def plan(epc: Epc) -> DerivationPlan:
-    """Bit-budget split the hybrid method will use for this EPC.
-
-    The payload width is the minimal binary width of the chosen value,
-    not the declared width of the scheme.
-    """
-    source, payload = _choose_payload(epc)
-    n = bit_length(payload)
-    if n > IPV6_BITS:
-        raise SerialTooWideError(f"{n}-bit payload exceeds the {IPV6_BITS}-bit address")
-    return DerivationPlan(source=source, input_bits=n, prefix_bits=IPV6_BITS - n)
-
-
-def derive_hybrid(epc: Epc, ons_ip: Ipv6Address) -> Ipv6Address:
-    """Splice the high 128-n ONS bits onto the n-bit payload."""
-    _, payload = _choose_payload(epc)
+    else:
+        payload = epc.serial_number
+        if payload is None:
+            raise MissingSerialError(
+                f"{epc.declared_bits}-bit EPC needs a serial number for derivation"
+            )
     n = payload.bit_length() or 1
     if n > IPV6_BITS:
         raise SerialTooWideError(f"{n}-bit payload exceeds the {IPV6_BITS}-bit address")
-    return Ipv6Address((ons_ip.value >> n << n) | payload)
+    return payload, n
 
 
-def derive_direct64(epc: Epc, net_prefix: Ipv6Address) -> Ipv6Address:
-    """Fixed split: 64-bit network prefix plus the zero-extended EPC value."""
+def plan(epc: Epc) -> DerivationPlan:
+    """Bit-budget split of the hybrid method for this EPC: n is the minimal
+    binary width of the chosen value, not the declared width of the scheme."""
+    _, n = _hybrid_step(epc)
+    full = _takes_full_epc(epc)
+    source = PayloadSource.FULL_EPC if full else PayloadSource.SERIAL_NUMBER
+    return DerivationPlan(source=source, input_bits=n, prefix_bits=IPV6_BITS - n)
+
+
+def _direct64_step(epc: Epc) -> tuple[int, int]:
     if epc.declared_bits > IID_BITS:
         raise EpcTooWideError(
             f"{epc.declared_bits}-bit EPC does not fit a {IID_BITS}-bit interface id"
         )
     if epc.value is None:
         raise MissingValueError("EPC has no numeric value to derive from")
-    return Ipv6Address((net_prefix.value >> IID_BITS << IID_BITS) | epc.value)
+    return epc.value, IID_BITS
 
 
-def _fold64(value: int) -> int:
-    """XOR-fold successive 64-bit chunks; identity below 2**64."""
-    folded = 0
-    while value:
-        folded ^= value & _IID_MASK
-        value >>= IID_BITS
-    return folded
-
-
-def _check_salt(salt: int) -> None:
+def _pad_step(combine: Callable[[int, int], int], salt: int) -> Callable:
+    """XOR-fold the EPC's 64-bit chunks (identity below 2**64), combine the salt."""
     if not 0 <= salt < 1 << IID_BITS:
-        raise ValueError(f"salt {salt:#x} does not fit {IID_BITS} bits")
+        raise InvalidOptionError(f"salt {salt:#x} does not fit {IID_BITS} bits")
+
+    def step(epc: Epc) -> tuple[int, int]:
+        value = epc.value
+        if value is None:
+            raise MissingValueError("EPC has no numeric value to derive from")
+        folded = 0
+        while value:
+            folded ^= value & _IID_MASK
+            value >>= IID_BITS
+        return combine(folded, salt), IID_BITS
+
+    return step
+
+
+def _one_pad_step(epc: Epc) -> tuple[int, int]:
+    serial = epc.serial_number
+    if serial is None:
+        raise MissingSerialError("one-padding needs a serial number")
+    m = serial.bit_length() or 1
+    if m > IID_BITS:
+        raise SerialTooWideError(f"{m}-bit serial does not fit {IID_BITS} bits")
+    return ((1 << IID_BITS) - (1 << m)) | serial, IID_BITS
+
+
+def _epc_standard_step(epc: Epc) -> tuple[int, int]:
+    if epc.value is None:
+        raise MissingValueError("EPC-standard input has no numeric value")
+    return epc.value & _IID_MASK, IID_BITS
+
+
+def _iso_standard_step(epc: Epc) -> tuple[int, int]:
+    if epc.serial_number is None:
+        raise MissingSerialError("ISO-standard input has no serial number")
+    return epc.serial_number & _IID_MASK, IID_BITS
+
+
+def _iso_epc_step(standard: TagStandard | str) -> Callable:
+    try:
+        standard = TagStandard(standard)
+    except ValueError:
+        raise InvalidOptionError(
+            f"unknown tag standard {standard!r}; choose from epc, iso"
+        ) from None
+    return _epc_standard_step if standard is TagStandard.EPC else _iso_standard_step
+
+
+# method -> its payload step, given the salt and the standard; only the
+# option a method takes is checked, once, when the step is bound
+_STEPS: dict[AddressingMethodId, Callable[..., Callable]] = {
+    AddressingMethodId.HYBRID_ONS: lambda salt, standard: _hybrid_step,
+    AddressingMethodId.DIRECT64: lambda salt, standard: _direct64_step,
+    AddressingMethodId.XOR_PAD: lambda salt, standard: _pad_step(xor, salt),
+    AddressingMethodId.OR_PAD: lambda salt, standard: _pad_step(or_, salt),
+    AddressingMethodId.ONE_PAD_SERIAL: lambda salt, standard: _one_pad_step,
+    AddressingMethodId.ISO_EPC: lambda salt, standard: _iso_epc_step(standard),
+}
+
+
+def integer_kernel(
+    method: AddressingMethodId, salt: int = 0, standard: TagStandard | str = TagStandard.EPC
+) -> Callable[[Epc, int], int]:
+    """Bind a method to an ``(epc, address value) -> address value`` kernel.
+
+    The address is the ONS address for ``hybrid_ons`` and the network prefix
+    for every baseline. Each step yields ``payload < 2**n <= 2**128``, so an
+    in-range address gives an in-range result. A salt outside 64 bits or an
+    unknown standard raises :class:`InvalidOptionError` here, not per call.
+    """
+    if not isinstance(method, AddressingMethodId):
+        raise ValueError(f"unknown addressing method {method!r}")
+    step = _STEPS[method](salt, standard)
+
+    def kernel(epc: Epc, ons: int) -> int:
+        payload, n = step(epc)
+        return ons >> n << n | payload
+
+    return kernel
+
+
+def method_function(
+    method: AddressingMethodId, salt: int = 0, standard: TagStandard | str = TagStandard.EPC
+) -> Callable[[Epc, Ipv6Address], Ipv6Address]:
+    """Bind a method id to a ``(epc, address) -> address`` callable; see
+    :func:`integer_kernel` for the address and the options."""
+    kernel = integer_kernel(method, salt, standard)
+    return lambda epc, address: Ipv6Address(kernel(epc, address.value))
+
+
+def derive(
+    method: AddressingMethodId, epc: Epc, address: Ipv6Address,
+    salt: int = 0, standard: TagStandard | str = TagStandard.EPC,
+) -> Ipv6Address:
+    """Derive one address with the named method."""
+    return method_function(method, salt, standard)(epc, address)
+
+
+def derive_hybrid(epc: Epc, ons_ip: Ipv6Address) -> Ipv6Address:
+    """Splice the high 128-n ONS bits onto the n-bit payload."""
+    return derive(AddressingMethodId.HYBRID_ONS, epc, ons_ip)
+
+
+def derive_direct64(epc: Epc, net_prefix: Ipv6Address) -> Ipv6Address:
+    """Fixed split: 64-bit network prefix plus the zero-extended EPC value."""
+    return derive(AddressingMethodId.DIRECT64, epc, net_prefix)
 
 
 def derive_xor_pad(epc: Epc, net_prefix: Ipv6Address, salt: int = 0) -> Ipv6Address:
-    """XOR method: fold the EPC to 64 bits, XOR a salt, append to the prefix.
-
-    Values at most 64 bits wide are zero-extended, so with salt 0 this
-    reduces to :func:`derive_direct64`.
-    """
-    _check_salt(salt)
-    if epc.value is None:
-        raise MissingValueError("EPC has no numeric value to derive from")
-    iid = _fold64(epc.value) ^ salt
-    return Ipv6Address((net_prefix.value >> IID_BITS << IID_BITS) | iid)
+    """XOR method: fold the EPC to 64 bits, XOR a salt, append to the prefix;
+    with salt 0, EPCs of at most 64 bits give :func:`derive_direct64`."""
+    return derive(AddressingMethodId.XOR_PAD, epc, net_prefix, salt=salt)
 
 
 def derive_or_pad(epc: Epc, net_prefix: Ipv6Address, salt: int = 0) -> Ipv6Address:
     """OR method: as the XOR method but the salt is combined with bitwise OR."""
-    _check_salt(salt)
-    if epc.value is None:
-        raise MissingValueError("EPC has no numeric value to derive from")
-    iid = _fold64(epc.value) | salt
-    return Ipv6Address((net_prefix.value >> IID_BITS << IID_BITS) | iid)
+    return derive(AddressingMethodId.OR_PAD, epc, net_prefix, salt=salt)
 
 
 def derive_one_pad(epc: Epc, net_prefix: Ipv6Address) -> Ipv6Address:
     """Serial-number method: pad the serial to 64 bits with one-bits on the left."""
-    if epc.serial_number is None:
-        raise MissingSerialError("one-padding needs a serial number")
-    serial = epc.serial_number
-    m = bit_length(serial)
-    if m > IID_BITS:
-        raise SerialTooWideError(f"{m}-bit serial does not fit {IID_BITS} bits")
-    iid = ((1 << IID_BITS) - (1 << m)) | serial
-    return Ipv6Address((net_prefix.value >> IID_BITS << IID_BITS) | iid)
+    return derive(AddressingMethodId.ONE_PAD_SERIAL, epc, net_prefix)
 
 
 def derive_iso_epc(
-    epc: Epc,
-    net_prefix: Ipv6Address,
-    standard: TagStandard = TagStandard.EPC,
+    epc: Epc, net_prefix: Ipv6Address, standard: TagStandard | str = TagStandard.EPC
 ) -> Ipv6Address:
-    """ISO/EPC method: 64-bit interface id from either standard's identifier.
-
-    EPC-tagged inputs use the full value, zero-extended below 64 bits and
-    cut to the low-order 64 bits above; ISO-tagged inputs use the serial
-    number the same way.
-    """
-    if standard is TagStandard.EPC:
-        if epc.value is None:
-            raise MissingValueError("EPC-standard input has no numeric value")
-        iid = epc.value & _IID_MASK
-    else:
-        if epc.serial_number is None:
-            raise MissingSerialError("ISO-standard input has no serial number")
-        iid = epc.serial_number & _IID_MASK
-    return Ipv6Address((net_prefix.value >> IID_BITS << IID_BITS) | iid)
-
-
-# method -> (operation, the keyword option it takes, if any); the address
-# argument is the ONS address for hybrid_ons and the network prefix otherwise
-_METHODS: dict[AddressingMethodId, tuple[Callable[..., Ipv6Address], str | None]] = {
-    AddressingMethodId.HYBRID_ONS: (derive_hybrid, None),
-    AddressingMethodId.DIRECT64: (derive_direct64, None),
-    AddressingMethodId.XOR_PAD: (derive_xor_pad, "salt"),
-    AddressingMethodId.OR_PAD: (derive_or_pad, "salt"),
-    AddressingMethodId.ONE_PAD_SERIAL: (derive_one_pad, None),
-    AddressingMethodId.ISO_EPC: (derive_iso_epc, "standard"),
-}
-
-
-def _operation(
-    method: AddressingMethodId, salt: int, standard: TagStandard
-) -> tuple[Callable[..., Ipv6Address], dict | None]:
-    """The method's operation and its option as a keyword argument, if it takes one."""
-    if not isinstance(method, AddressingMethodId):
-        raise ValueError(f"unknown addressing method {method!r}")
-    operation, option = _METHODS[method]
-    if option is None:
-        return operation, None
-    return operation, {option: salt if option == "salt" else standard}
-
-
-def method_function(
-    method: AddressingMethodId,
-    salt: int = 0,
-    standard: TagStandard = TagStandard.EPC,
-) -> Callable[[Epc, Ipv6Address], Ipv6Address]:
-    """Bind a method id to a ``(epc, address) -> address`` callable.
-
-    The address argument is the ONS address for ``hybrid_ons`` and the
-    network prefix for every baseline.
-    """
-    operation, options = _operation(method, salt, standard)
-    return operation if options is None else partial(operation, **options)
-
-
-def derive(
-    method: AddressingMethodId,
-    epc: Epc,
-    address: Ipv6Address,
-    salt: int = 0,
-    standard: TagStandard = TagStandard.EPC,
-) -> Ipv6Address:
-    """Derive one address with the named method."""
-    operation, options = _operation(method, salt, standard)
-    if options is None:
-        return operation(epc, address)
-    return operation(epc, address, **options)
+    """ISO/EPC method: the low 64 bits of the EPC value (standard ``epc``) or
+    of the serial number (``iso``), zero-extended, under the prefix."""
+    return derive(AddressingMethodId.ISO_EPC, epc, net_prefix, standard=standard)

@@ -15,11 +15,16 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter, xor
+from operator import itemgetter, xor
 
-from .addressing import AddressingMethodId, TagStandard, method_function
+from .addressing import AddressingMethodId, TagStandard, integer_kernel
 from .epc import SERIAL_BITS, SGTIN96_PARTITIONS, Epc, EpcScheme, pack_sgtin96
-from .errors import EpcIpv6Error, EvaluationError, UnsatisfiableSpecError
+from .errors import (
+    DerivationError,
+    EpcIpv6Error,
+    EvaluationError,
+    UnsatisfiableSpecError,
+)
 from .ipv6 import Ipv6Address
 from .ons import OnsRegistry, resolve
 
@@ -29,8 +34,6 @@ CSV_HEADER = "method,population,distinct,collisions,mean_time,p99_time"
 DERIVE_CHUNK = 1024
 # example members listed per collision group in JSON reports
 _GROUP_EXAMPLES = 4
-
-_value = attrgetter("value")
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,33 @@ class BenchReport:
         )
 
 
+@dataclass(frozen=True)
+class NotApplicable:
+    """A method whose derivations fail on a population, in place of its report."""
+
+    method: AddressingMethodId
+    population_size: int
+    failures: dict[str, int]  # failed derivations per error type, over every EPC
+    first_epc: Epc
+    first_error: str
+
+    def to_dict(self) -> dict:
+        return {
+            "method": self.method.value,
+            "population_size": self.population_size,
+            "failures": self.failures,
+            "first_failure": {"epc": _epc_label(self.first_epc), "error": self.first_error},
+        }
+
+    def csv_row(self) -> str:
+        return f"{self.method.value},{self.population_size},n/a,n/a,n/a,n/a"
+
+    def __str__(self) -> str:
+        failures = ", ".join(f"{name} x{count}" for name, count in self.failures.items())
+        return (f"{self.method.value} not applicable ({failures}); "
+                f"first failing EPC {_epc_label(self.first_epc)}")
+
+
 def _epc_label(epc: Epc) -> str:
     if epc.uri is not None:
         return epc.uri
@@ -215,18 +245,20 @@ def evaluate(
     shared-prefix histogram counts, per EPC, how many leading bits the
     derived address shares with that EPC's resolved ONS address. Only the
     derivations are timed, one clock pair per chunk of ``DERIVE_CHUNK``.
+    They run on the method's integer kernel, so an ``Ipv6Address`` is
+    built only for each reported collision group.
     """
     if not population:
         raise ValueError("population must not be empty")
-    ons_addresses = []
+    kernel = integer_kernel(method, salt=salt, standard=standard)
+    ons_values = []
     for epc in population:
         try:
-            ons_addresses.append(resolve(registry, epc))
+            ons_values.append(resolve(registry, epc).value)
         except EpcIpv6Error as exc:
             raise EvaluationError("resolve", epc, str(exc)) from exc
 
-    fn = method_function(method, salt=salt, standard=standard)
-    derived: list[Ipv6Address] = []
+    values: list[int] = []
     total = 0.0
     chunk_means: list[float] = []
     perf_counter = time.perf_counter
@@ -236,27 +268,26 @@ def evaluate(
     try:
         for lo in range(0, len(population), DERIVE_CHUNK):
             epcs = population[lo:lo + DERIVE_CHUNK]
-            onss = ons_addresses[lo:lo + DERIVE_CHUNK]
+            onss = ons_values[lo:lo + DERIVE_CHUNK]
             start = perf_counter()
             try:
-                addresses = list(map(fn, epcs, onss))
+                chunk = list(map(kernel, epcs, onss))
             except EpcIpv6Error:
                 # the chunk does not say which call failed: replay it call by call
                 for epc, ons in zip(epcs, onss):
                     try:
-                        fn(epc, ons)
+                        kernel(epc, ons)
                     except EpcIpv6Error as exc:
                         raise EvaluationError("derive", epc, str(exc)) from exc
                 raise
             elapsed = perf_counter() - start
             total += elapsed
             chunk_means.append(elapsed / len(epcs))
-            derived += addresses
+            values += chunk
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    values = list(map(_value, derived))
     counts = Counter(values)
     collision_groups = ()
     if len(counts) < len(values):
@@ -266,15 +297,13 @@ def evaluate(
                 members.setdefault(value, []).append(i)
         # every group has two or more members, so itemgetter returns a tuple
         collision_groups = tuple(
-            (derived[indices[0]], itemgetter(*indices)(population))
-            for indices in members.values()
+            (Ipv6Address(value), itemgetter(*indices)(population))
+            for value, indices in members.items()
         )
 
     # an address shares 128 - k leading bits with its ONS address when
     # their XOR is k bits long
-    differing_bits = Counter(
-        map(int.bit_length, map(xor, values, map(_value, ons_addresses)))
-    )
+    differing_bits = Counter(map(int.bit_length, map(xor, values, ons_values)))
 
     ordered = sorted(chunk_means)
     p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
@@ -288,3 +317,62 @@ def evaluate(
         shared_prefix_depth={128 - k: n for k, n in differing_bits.items()},
         timing=timing,
     )
+
+
+def compare(
+    methods: list[AddressingMethodId],
+    population: list[Epc],
+    registry: OnsRegistry,
+    salt: int = 0,
+    standard: TagStandard = TagStandard.EPC,
+) -> list[BenchReport | NotApplicable]:
+    """Evaluate each method in turn, in order.
+
+    A method whose derivations fail is reported as :class:`NotApplicable`,
+    with its failures counted over the whole population. A resolve failure
+    applies to every method, so its :class:`EvaluationError` propagates.
+    """
+    rows: list[BenchReport | NotApplicable] = []
+    for method in methods:
+        try:
+            rows.append(evaluate(method, population, registry, salt, standard))
+        except EvaluationError as exc:
+            if exc.stage == "resolve":
+                raise
+            kernel = integer_kernel(method, salt=salt, standard=standard)
+            failures: Counter[str] = Counter()
+            for epc in population:
+                try:
+                    kernel(epc, resolve(registry, epc).value)
+                except DerivationError as error:
+                    failures[type(error).__name__] += 1
+            cause = exc.__cause__
+            rows.append(NotApplicable(
+                method, len(population), dict(sorted(failures.items())),
+                exc.epc, f"{type(cause).__name__}: {cause}",
+            ))
+    return rows
+
+
+def render(spec: PopulationSpec, rows: list[BenchReport | NotApplicable],
+           structured: bool) -> str:
+    """The ``bench`` command's output: CSV, or JSON headed by the population spec.
+
+    JSON lists the reports, then a ``not_applicable`` block only when some
+    method did not apply; CSV gives such a method a row of ``n/a``.
+    """
+    if not structured:
+        return "\n".join([CSV_HEADER] + [row.csv_row() for row in rows]) + "\n"
+    payload = {
+        "population": {
+            "scheme": spec.scheme.value,
+            "count": spec.count,
+            "seed": spec.seed,
+            "serial_width_bits": spec.serial_width_bits,
+        },
+        "reports": [row.to_dict() for row in rows if isinstance(row, BenchReport)],
+    }
+    skipped = [row.to_dict() for row in rows if isinstance(row, NotApplicable)]
+    if skipped:
+        payload["not_applicable"] = skipped
+    return json.dumps(payload, indent=2) + "\n"

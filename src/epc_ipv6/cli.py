@@ -1,9 +1,10 @@
 """Command-line front end: derive, parse, resolve, and bench.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 resolve error,
-5 derive error. A JSON config file named by the EPC_IPV6_CONFIG
-environment variable can preset the registry path, default method, and
-output format; flags override the config.
+5 derive error; ``bench`` reports a method that fails on its population
+as not applicable and still exits 0. A JSON config file named by the
+EPC_IPV6_CONFIG environment variable can preset the registry path,
+default method, and output format; flags override the config.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def cmd_resolve(args, config: CliConfig) -> int:
 
 def cmd_bench(args, config: CliConfig) -> int:
     # the harness loads here, so the other commands never import it
-    from .bench import CSV_HEADER, PopulationSpec, evaluate, generate_population
+    from .bench import NotApplicable, PopulationSpec, compare, generate_population, render
 
     registry_path = args.registry or config.registry_path
     if registry_path is None:
@@ -225,31 +226,14 @@ def cmd_bench(args, config: CliConfig) -> int:
         raise CliError("usage", f"population spec: {exc}", EXIT_USAGE) from exc
 
     methods = [AddressingMethodId(name) for name in args.methods]
-    reports = []
-    for method in methods:
-        try:
-            reports.append(
-                evaluate(method, population, registry, salt=args.salt,
-                         standard=TagStandard(args.standard))
-            )
-        except EvaluationError as exc:
-            code = EXIT_RESOLVE if exc.stage == "resolve" else EXIT_DERIVE
-            raise CliError("bench", str(exc), code) from exc
-
-    if _output_format(args, config) == "structured":
-        payload = {
-            "population": {
-                "scheme": spec.scheme.value,
-                "count": spec.count,
-                "seed": spec.seed,
-                "serial_width_bits": spec.serial_width_bits,
-            },
-            "reports": [report.to_dict() for report in reports],
-        }
-        output = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [CSV_HEADER] + [report.csv_row() for report in reports]
-        output = "\n".join(lines) + "\n"
+    try:
+        rows = compare(methods, population, registry, args.salt, args.standard)
+    except EvaluationError as exc:
+        raise CliError("bench", str(exc), EXIT_RESOLVE) from exc
+    for row in rows:
+        if isinstance(row, NotApplicable):
+            print(f"bench: {row}", file=sys.stderr)
+    output = render(spec, rows, _output_format(args, config) == "structured")
 
     if args.out:
         try:

@@ -55,6 +55,10 @@ class SerialTooWideError(DerivationError):
     """Serial number wider than the method's payload field."""
 
 
+class InvalidOptionError(DerivationError, ValueError):
+    """A method's salt is out of range or its tag standard is unknown."""
+
+
 # --- ONS registry ---
 
 class RegistryError(EpcIpv6Error):

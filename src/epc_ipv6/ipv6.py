@@ -20,6 +20,8 @@ _GROUPS = struct.Struct(">8H").unpack
 _SENTINEL_TEXT = ":%x:%x:%x:%x:%x:%x:%x:%x:"
 # zero runs to compress, longest first; str.find returns the leftmost
 _ZERO_RUNS = tuple(":0" * k + ":" for k in range(8, 1, -1))
+# CPython folds no constant this wide, so ``1 << 128`` inline is computed per call
+_ADDRESS_LIMIT = 1 << 128
 
 
 class Ipv6Address(Frozen):
@@ -29,7 +31,7 @@ class Ipv6Address(Frozen):
     value: int
 
     def __init__(self, value: int):
-        if not 0 <= value < 1 << 128:
+        if not 0 <= value < _ADDRESS_LIMIT:
             raise ValueError(f"address value {value:#x} does not fit 128 bits")
         setfield(self, "value", value)
 

@@ -17,12 +17,17 @@ from epc_ipv6 import (
     derive_one_pad,
     derive_or_pad,
     derive_xor_pad,
+    method_function,
     parse_ipv6,
     parse_tag_uri,
     plan,
 )
+from epc_ipv6.addressing import integer_kernel
+from epc_ipv6.epc import SERIAL_BITS, SGTIN96_PARTITIONS, pack_sgtin96
 from epc_ipv6.errors import (
+    DerivationError,
     EpcTooWideError,
+    InvalidOptionError,
     MissingSerialError,
     MissingValueError,
     SerialTooWideError,
@@ -64,6 +69,14 @@ class TestPlan:
         p = plan(epc)
         assert p.source is PayloadSource.FULL_EPC
         assert p.input_bits == 14
+
+    def test_raw_branch_boundary_is_64_value_bits(self):
+        # a wide raw declaration with a 64-bit value still takes the full value
+        p = plan(Epc(scheme=EpcScheme.RAW, declared_bits=96, value=(1 << 64) - 1))
+        assert p.source is PayloadSource.FULL_EPC
+        assert p.input_bits == 64
+        with pytest.raises(MissingSerialError):
+            plan(Epc(scheme=EpcScheme.RAW, declared_bits=96, value=1 << 64))
 
     def test_missing_serial_on_wide_branch(self):
         epc = Epc(scheme=EpcScheme.RAW, declared_bits=96, value=1 << 70)
@@ -285,3 +298,134 @@ class TestDispatch:
             "one_pad_serial",
             "iso_epc",
         }
+
+
+class TestBoundOptions:
+    @pytest.mark.parametrize("method", [AddressingMethodId.XOR_PAD, AddressingMethodId.OR_PAD])
+    @pytest.mark.parametrize("salt", [1 << 64, -1])
+    def test_out_of_range_salt_rejected_when_bound(self, method, salt):
+        with pytest.raises(InvalidOptionError, match="does not fit 64 bits"):
+            method_function(method, salt=salt)
+
+    def test_option_error_is_a_derivation_and_value_error(self):
+        assert issubclass(InvalidOptionError, DerivationError)
+        assert issubclass(InvalidOptionError, ValueError)
+
+    def test_salt_ignored_by_methods_without_one(self, ons_address):
+        fn = method_function(AddressingMethodId.HYBRID_ONS, salt=1 << 64)
+        assert fn(raw_epc(5), ons_address) == derive_hybrid(raw_epc(5), ons_address)
+
+    def test_standard_given_as_text_is_coerced(self):
+        epc = Epc(scheme=EpcScheme.RAW, declared_bits=24, value=0xABCDEF, serial_number=7)
+        prefix = parse_ipv6("8000::")
+        assert str(derive_iso_epc(epc, prefix, standard="epc")) == "8000::ab:cdef"
+        assert str(derive_iso_epc(epc, prefix, standard="iso")) == "8000::7"
+        bound = method_function(AddressingMethodId.ISO_EPC, standard="epc")
+        assert str(bound(epc, prefix)) == "8000::ab:cdef"
+        assert str(derive(AddressingMethodId.ISO_EPC, epc, prefix, standard="iso")) == "8000::7"
+
+    def test_unknown_standard_rejected(self, ons_address):
+        with pytest.raises(InvalidOptionError, match="unknown tag standard 'bogus'"):
+            derive_iso_epc(raw_epc(5), ons_address, standard="bogus")
+        with pytest.raises(InvalidOptionError):
+            method_function(AddressingMethodId.ISO_EPC, standard="bogus")
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown addressing method 'bogus'"):
+            method_function("bogus")
+
+
+@st.composite
+def epcs(draw) -> Epc:
+    """EPCs of every scheme: raw up to 256 bits, zero payloads, absent value or serial."""
+    scheme = draw(st.sampled_from(list(EpcScheme)))
+    if scheme is EpcScheme.RAW:
+        bits = draw(st.integers(min_value=1, max_value=256))
+        word = st.one_of(st.just(0), st.integers(min_value=0, max_value=2**bits - 1))
+        value = draw(word)
+        serial = draw(st.one_of(st.none(), st.just(value), word))
+        return Epc(scheme=scheme, declared_bits=bits, value=value, serial_number=serial)
+    serial = draw(st.integers(min_value=0, max_value=2 ** SERIAL_BITS[scheme] - 1))
+    if scheme is EpcScheme.SGTIN96 and draw(st.booleans()):
+        partition = draw(st.integers(min_value=0, max_value=6))
+        _, company_digits, _, item_digits = SGTIN96_PARTITIONS[partition]
+        value = pack_sgtin96(
+            draw(st.integers(min_value=0, max_value=7)),
+            partition,
+            draw(st.integers(min_value=0, max_value=10**company_digits - 1)),
+            draw(st.integers(min_value=0, max_value=10**item_digits - 1)),
+            serial,
+        )
+        return Epc(scheme=scheme, declared_bits=96, value=value, serial_number=serial)
+    return Epc(scheme=scheme, declared_bits=96, serial_number=serial)
+
+
+def _reference(method, epc, ons, salt, standard) -> int:
+    """Each method written out from its definition, independent of the package."""
+    M = AddressingMethodId
+    if method is M.HYBRID_ONS:
+        value = epc.value
+        if epc.declared_bits <= 64 or (
+            epc.scheme is EpcScheme.RAW and value is not None and value.bit_length() <= 64
+        ):
+            if value is None:
+                raise MissingValueError
+            payload = value
+        elif epc.serial_number is None:
+            raise MissingSerialError
+        else:
+            payload = epc.serial_number
+        n = max(payload.bit_length(), 1)
+        if n > 128:
+            raise SerialTooWideError
+        return ons - ons % 2**n + payload
+    if method is M.ONE_PAD_SERIAL:
+        if epc.serial_number is None:
+            raise MissingSerialError
+        m = max(epc.serial_number.bit_length(), 1)
+        if m > 64:
+            raise SerialTooWideError
+        iid = 2**64 - 2**m + epc.serial_number
+    elif method is M.ISO_EPC and standard is TagStandard.ISO:
+        if epc.serial_number is None:
+            raise MissingSerialError
+        iid = epc.serial_number % 2**64
+    else:
+        if method is M.DIRECT64 and epc.declared_bits > 64:
+            raise EpcTooWideError
+        if epc.value is None:
+            raise MissingValueError
+        iid = epc.value % 2**64
+        if method in (M.XOR_PAD, M.OR_PAD):
+            chunk, rest = 0, epc.value
+            while rest:
+                chunk ^= rest % 2**64
+                rest //= 2**64
+            iid = chunk ^ salt if method is M.XOR_PAD else chunk | salt
+    return ons - ons % 2**64 + iid
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except DerivationError as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerKernel:
+    @given(
+        epcs(),
+        st.integers(min_value=0, max_value=2**128 - 1),
+        st.one_of(st.just(0), st.integers(min_value=1, max_value=2**64 - 1)),
+        st.sampled_from(list(TagStandard)),
+    )
+    def test_kernel_matches_method_function_and_reference(self, epc, ons, salt, standard):
+        for method in AddressingMethodId:
+            kernel = integer_kernel(method, salt=salt, standard=standard)
+            bound = method_function(method, salt=salt, standard=standard)
+            got = _outcome(lambda: kernel(epc, ons))
+            assert got == _outcome(lambda: bound(epc, Ipv6Address(ons)).value), method
+            reference = _outcome(lambda: _reference(method, epc, ons, salt, standard))
+            assert got[0] == reference[0], method
+            if got[0] == "ok":
+                assert got[1] == reference[1], method

@@ -19,7 +19,7 @@ from epc_ipv6 import (
     plan,
 )
 from epc_ipv6.bench import CSV_HEADER
-from epc_ipv6.errors import EvaluationError, UnsatisfiableSpecError
+from epc_ipv6.errors import EvaluationError, InvalidOptionError, UnsatisfiableSpecError
 
 from conftest import ONS_TEXT
 
@@ -232,6 +232,13 @@ class TestEvaluate:
         }]
         assert data["collision_pair_count"] == 1_999_000
         assert report.csv_row().split(",")[3] == "1999000"
+
+    def test_out_of_range_salt_rejected_before_resolving(self, registry_file):
+        # the registry cannot resolve a raw EPC, so a resolve error would win
+        registry = load_registry(registry_file([{"pattern": "sgtin-96", "ons_ip": ONS_TEXT}]))
+        epc = Epc(scheme=EpcScheme.RAW, declared_bits=8, value=1, serial_number=1)
+        with pytest.raises(InvalidOptionError, match="does not fit 64 bits"):
+            evaluate(AddressingMethodId.XOR_PAD, [epc], registry, salt=1 << 64)
 
     def test_empty_population_rejected(self, wildcard_registry):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -301,6 +302,44 @@ class TestBenchCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_default_command_reports_direct64_not_applicable(
+        self, capsys, wildcard_registry_path
+    ):
+        # the README's default run: sgtin-96, 1000 EPCs, all six methods
+        code = main(["bench", "--registry", str(wildcard_registry_path),
+                     "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.err
+        data = json.loads(captured.out)
+        assert [r["method"] for r in data["reports"]] == [
+            "hybrid_ons", "xor_pad", "or_pad", "one_pad_serial", "iso_epc"
+        ]
+        [skipped] = data["not_applicable"]
+        assert skipped["method"] == "direct64"
+        assert skipped["population_size"] == 1000
+        assert skipped["failures"] == {"EpcTooWideError": 1000}
+        assert skipped["first_failure"]["epc"].startswith("sgtin-96:0x30")
+        assert skipped["first_failure"]["error"] == (
+            "EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id"
+        )
+        assert "direct64 not applicable" in captured.err
+
+    def test_default_command_csv_marks_direct64(self, capsys, wildcard_registry_path):
+        code = main(["bench", "--registry", str(wildcard_registry_path)])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 6
+        assert lines[2] == "direct64,1000,n/a,n/a,n/a,n/a"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "hybrid_ons", "direct64", "xor_pad", "or_pad", "one_pad_serial", "iso_epc"
+        ]
+
+    def test_resolve_failure_still_fails_the_run(self, capsys, registry_file):
+        registry = registry_file([{"pattern": "raw", "ons_ip": ONS_TEXT}])
+        code = main(["bench", "--registry", str(registry)])
+        assert code == EXIT_RESOLVE
+        assert capsys.readouterr().err.startswith("bench: resolve: ")
+
     def test_unknown_method_listed(self, capsys, wildcard_registry_path):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -313,6 +352,54 @@ class TestBenchCommand:
                 ]
             )
         assert excinfo.value.code == EXIT_USAGE
+
+
+class TestBenchOutputPinned:
+    """Bench output for fixed seeds, timing fields dropped, pinned by sha256.
+
+    The digests were taken before the methods moved onto integer kernels;
+    sgtin-96 leaves out direct64, which does not apply to 96-bit EPCs.
+    """
+
+    @staticmethod
+    def _stable_digest(text: str, output_format: str) -> str:
+        if output_format == "structured":
+            data = json.loads(text)
+            for report in data["reports"]:
+                del report["timing"]
+            stable = json.dumps(data, indent=2)
+        else:
+            stable = "\n".join(",".join(line.split(",")[:4]) for line in text.splitlines())
+        return hashlib.sha256(stable.encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv, output_format, digest",
+        [
+            (["--scheme", "sgtin-96", "--seed", "5", "--methods",
+              "hybrid_ons,xor_pad,or_pad,one_pad_serial,iso_epc"],
+             "structured",
+             "516aef8d8141c03a2e86e9b3f59815ad1c30fab8fb7f881a4962abe34eb7cd7f"),
+            (["--scheme", "sgtin-96", "--seed", "5", "--methods",
+              "hybrid_ons,xor_pad,or_pad,one_pad_serial,iso_epc"],
+             "text",
+             "1dcbda28c5e80b20697e5b1dcae9bbaba5446b6ed93678123e662f856a4659e4"),
+            (["--scheme", "raw", "--seed", "1", "--serial-width-bits", "16",
+              "--standard", "iso"],
+             "structured",
+             "38ada35c79572cfe0783d89bfeafc8e2b673da5e7f8c35654908810881426e8a"),
+            (["--scheme", "raw", "--seed", "1", "--serial-width-bits", "16",
+              "--standard", "iso"],
+             "text",
+             "66c0b896fd240c56812eda4c985f8a20f79219fdc4f9f8b49c4f1d856e9e8cd7"),
+        ],
+    )
+    def test_reports_match_pinned_digest(
+        self, capsys, wildcard_registry_path, argv, output_format, digest
+    ):
+        code = main(["bench", "--registry", str(wildcard_registry_path), "--count", "2000",
+                     "--salt", "0xffffffffffffc000", "--format", output_format, *argv])
+        assert code == EXIT_OK
+        assert self._stable_digest(capsys.readouterr().out, output_format) == digest
 
 
 class TestConfigFile:

@@ -30,6 +30,7 @@ from .ipv6 import Ipv6Address
 IPV6_BITS = 128
 IID_BITS = 64
 _IID_MASK = (1 << IID_BITS) - 1
+_RAW = EpcScheme.RAW  # an enum member lookup costs a call on the hot path
 
 
 class PayloadSource(str, Enum):
@@ -78,9 +79,6 @@ class TagStandard(str, Enum):
     ISO = "iso"
 
 
-_RAW = EpcScheme.RAW  # an enum member lookup costs a call on the hot path
-
-
 def _takes_full_epc(epc: Epc) -> bool:
     """Hybrid branch rule: the payload is the full value of EPCs up to 64 bits
     wide (raw ones judged by their value's width), else the serial number."""
@@ -89,9 +87,7 @@ def _takes_full_epc(epc: Epc) -> bool:
     return epc.declared_bits <= IID_BITS
 
 
-# --- payload steps: epc -> (payload, n); a baseline's payload is its interface id
-
-
+# payload steps: epc -> (payload, n); a baseline's payload is its interface id
 def _hybrid_step(epc: Epc) -> tuple[int, int]:
     """The hybrid payload and its minimal binary width n, 1 for zero."""
     if _takes_full_epc(epc):

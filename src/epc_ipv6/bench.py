@@ -15,7 +15,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter, xor
+from operator import xor
 
 from .addressing import AddressingMethodId, TagStandard, integer_kernel
 from .epc import SERIAL_BITS, SGTIN96_PARTITIONS, Epc, EpcScheme, pack_sgtin96
@@ -191,45 +191,37 @@ def _distinct_serials(rng: random.Random, width: int, count: int) -> list[int]:
 
 
 def generate_population(spec: PopulationSpec) -> list[Epc]:
-    """Distinct EPCs for the spec; identical lists for identical specs."""
+    """Distinct EPCs for the spec; identical lists for identical specs.
+
+    Every field is drawn in range, so members are built without the checks
+    of the public ``Epc`` constructor.
+    """
     rng = random.Random(spec.seed)
     width = spec.effective_serial_bits
     serials = _distinct_serials(rng, width, spec.count)
+    trusted = Epc._trusted
 
     if spec.scheme is EpcScheme.RAW:
-        # a raw code is its own serial number
-        return [
-            Epc(scheme=EpcScheme.RAW, declared_bits=width, value=v, serial_number=v)
-            for v in serials
-        ]
+        # a raw code is its own serial number; width is 1..64
+        return [trusted(EpcScheme.RAW, width, v, v) for v in serials]
     if spec.scheme is EpcScheme.SGTIN96:
+        randrange = rng.randrange
+        # per partition: draw bounds of the company prefix and item reference
+        bounds = [(10**row[1], 10**row[3]) for row in SGTIN96_PARTITIONS.values()]
         population = []
         for serial in serials:
             # draw order, which the populations depend on: partition, filter,
             # company prefix, item reference
-            partition = rng.randrange(7)
-            _, company_digits, _, item_digits = SGTIN96_PARTITIONS[partition]
+            partition = randrange(7)
+            company_bound, item_bound = bounds[partition]
             value = pack_sgtin96(
-                rng.randrange(8),
-                partition,
-                rng.randrange(10**company_digits),
-                rng.randrange(10**item_digits),
-                serial,
+                randrange(8), partition, randrange(company_bound), randrange(item_bound), serial
             )
-            population.append(
-                Epc(
-                    scheme=EpcScheme.SGTIN96,
-                    declared_bits=96,
-                    value=value,
-                    serial_number=serial,
-                )
-            )
+            population.append(trusted(EpcScheme.SGTIN96, 96, value, serial))
         return population
-    # serial-only schemes: no binary codec, the serial is all that matters
-    return [
-        Epc(scheme=spec.scheme, declared_bits=96, serial_number=serial)
-        for serial in serials
-    ]
+    # serial-only schemes: no binary codec, the serial is all that matters;
+    # width is at most the scheme's serial field
+    return [trusted(spec.scheme, 96, None, serial) for serial in serials]
 
 
 def evaluate(
@@ -291,14 +283,13 @@ def evaluate(
     counts = Counter(values)
     collision_groups = ()
     if len(counts) < len(values):
-        members: dict[int, list[int]] = {}
-        for i, value in enumerate(values):
-            if counts[value] > 1:
-                members.setdefault(value, []).append(i)
-        # every group has two or more members, so itemgetter returns a tuple
+        # lists only for the addresses that collide, in order of first appearance
+        members: dict[int, list[Epc]] = {value: [] for value, n in counts.items() if n > 1}
+        for epc, value in zip(population, values):
+            if value in members:
+                members[value].append(epc)
         collision_groups = tuple(
-            (Ipv6Address(value), itemgetter(*indices)(population))
-            for value, indices in members.items()
+            (Ipv6Address(value), tuple(epcs)) for value, epcs in members.items()
         )
 
     # an address shares 128 - k leading bits with its ONS address when

@@ -140,7 +140,9 @@ class Epc(Frozen):
 
     ``value`` is the full binary EPC as one unsigned integer; it is absent
     for schemes whose binary codec is out of scope (GIAI-96, SGLN-96),
-    where only the serial/individual-reference component is kept.
+    where only the serial/individual-reference component is kept. The
+    constructor checks every field; values proven valid inside the package
+    (parsed tag URIs, generated populations) skip it through ``_trusted``.
     """
 
     __slots__ = _fields = ("scheme", "declared_bits", "value", "serial_number", "uri")
@@ -192,6 +194,17 @@ class Epc(Frozen):
         setfield(self, "value", value)
         setfield(self, "serial_number", serial_number)
         setfield(self, "uri", uri)
+
+    @classmethod
+    def _trusted(cls, scheme, declared_bits, value, serial_number, uri=None) -> Epc:
+        """An Epc from fields the caller proved valid, built without any check."""
+        self = object.__new__(cls)
+        setfield(self, "scheme", scheme)
+        setfield(self, "declared_bits", declared_bits)
+        setfield(self, "value", value)
+        setfield(self, "serial_number", serial_number)
+        setfield(self, "uri", uri)
+        return self
 
 
 def _check_sgtin96(value: int) -> tuple[int, int, int]:
@@ -331,16 +344,11 @@ def _parse_sgtin96(text: str, fields: list[str]) -> Epc:
             f"for a {len(company_field)}-digit company prefix"
         )
     serial = _parse_serial(serial_field, SGTIN96_SERIAL_BITS)
+    # every field is checked, so the Epc needs no checks of its own
     value = pack_sgtin96(
         filter_value, partition, int(company_field), int(item_field), serial
     )
-    return Epc(
-        scheme=EpcScheme.SGTIN96,
-        declared_bits=96,
-        value=value,
-        serial_number=serial,
-        uri=text,
-    )
+    return Epc._trusted(EpcScheme.SGTIN96, 96, value, serial, text)
 
 
 def _parse_giai96(text: str, fields: list[str]) -> Epc:
@@ -350,14 +358,10 @@ def _parse_giai96(text: str, fields: list[str]) -> Epc:
     _parse_filter(filter_field)
     partition = _parse_partition(company_field)
     company_bits = SGTIN96_PARTITIONS[partition][0]
-    # asset reference fills the 82 bits left after header/filter/partition
+    # asset reference fills the 82 bits left after header/filter/partition,
+    # at most 62 (SERIAL_BITS) since company_bits >= 20
     serial = _parse_serial(asset_field, 82 - company_bits)
-    return Epc(
-        scheme=EpcScheme.GIAI96,
-        declared_bits=96,
-        serial_number=serial,
-        uri=text,
-    )
+    return Epc._trusted(EpcScheme.GIAI96, 96, None, serial, text)
 
 
 def _parse_sgln96(text: str, fields: list[str]) -> Epc:
@@ -373,12 +377,7 @@ def _parse_sgln96(text: str, fields: list[str]) -> Epc:
             f"digits for a {len(company_field)}-digit company prefix"
         )
     serial = _parse_serial(extension_field, 41)
-    return Epc(
-        scheme=EpcScheme.SGLN96,
-        declared_bits=96,
-        serial_number=serial,
-        uri=text,
-    )
+    return Epc._trusted(EpcScheme.SGLN96, 96, None, serial, text)
 
 
 # every scheme but raw has a tag URI form

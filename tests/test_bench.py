@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import json
+import pickle
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from epc_ipv6 import (
     AddressingMethodId,
@@ -43,6 +46,25 @@ class TestGeneratePopulation:
             "70c130d82827b4b4ad0d57e513d45da4ab1a5716eddb0ac0e474e6bee70b7fc7"
         )
 
+    @pytest.mark.parametrize("scheme, width, digest", [
+        (EpcScheme.RAW, None,
+         "cfb2ea77cf6430253df320e6901d0b5040b39630e17597efda92eb79e7ef4887"),
+        (EpcScheme.RAW, 12,
+         "4bf260cdde7cb795d85c05161d527ee4e1d671ab99a5570e26839574eb23165e"),
+        (EpcScheme.GIAI96, None,
+         "d4e7152e238f1333c0b9e263af9c234257fa8ccb43e7442220402e6adb18f1b8"),
+        (EpcScheme.SGLN96, None,
+         "1e83bcbb667fcf0a839c7023fb5270da3f9572664a9759b08190c96a64490049"),
+    ])
+    def test_population_pinned(self, scheme, width, digest):
+        # digests of the raw and serial-only branches as first generated
+        spec = PopulationSpec(scheme=scheme, count=1000, seed=42, serial_width_bits=width)
+        text = "\n".join(
+            f"{e.scheme.value},{e.declared_bits},{e.value},{e.serial_number},{e.uri}"
+            for e in generate_population(spec)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_seed_changes_population(self):
         a = generate_population(PopulationSpec(scheme=EpcScheme.SGTIN96, count=50, seed=1))
         b = generate_population(PopulationSpec(scheme=EpcScheme.SGTIN96, count=50, seed=2))
@@ -67,12 +89,25 @@ class TestGeneratePopulation:
         assert len(population) == 1
         assert population[0].scheme is EpcScheme.RAW
 
-    def test_sgtin_population_is_valid(self):
-        spec = PopulationSpec(scheme=EpcScheme.SGTIN96, count=200, seed=7)
-        for epc in generate_population(spec):
-            assert epc.scheme is EpcScheme.SGTIN96
-            assert epc.value is not None and epc.value >> 88 == 0x30
-            assert epc.serial_number is not None
+    @given(
+        st.sampled_from(list(EpcScheme)),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=256)),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.data(),
+    )
+    def test_population_members_round_trip(self, scheme, width, seed, data):
+        # members skip the constructor's checks; the public one must accept them
+        spec = PopulationSpec(scheme=scheme, count=1, seed=seed, serial_width_bits=width)
+        count = data.draw(st.integers(1, min(200, 2**spec.effective_serial_bits)))
+        spec = PopulationSpec(scheme=scheme, count=count, seed=seed, serial_width_bits=width)
+        population = generate_population(spec)
+        assert len(population) == count
+        for epc in population:
+            assert type(epc) is Epc and epc.scheme is scheme
+            assert Epc(*epc._astuple()) == epc
+        member = population[0]
+        assert pickle.loads(pickle.dumps(member)) == member
+        assert copy.copy(member) == member
 
     def test_serial_only_scheme_population(self):
         spec = PopulationSpec(scheme=EpcScheme.GIAI96, count=50, seed=3)

@@ -20,11 +20,12 @@ from .errors import (
     DerivationError,
     EpcIpv6Error,
     EvaluationError,
-    Ipv6TextError,
+    NoMatchError,
+    RegistryError,
     UnsatisfiableSpecError,
 )
 from .ipv6 import Ipv6Address, parse_ipv6
-from .ons import load_registry
+from .ons import OnsRegistry, load_registry
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,9 +34,20 @@ EXIT_RESOLVE = 4
 EXIT_DERIVE = 5
 
 CONFIG_ENV_VAR = "EPC_IPV6_CONFIG"
+_REGISTRY_REQUIRED = "--registry or a config registry_path is required"
 
 _METHOD_NAMES = [m.value for m in AddressingMethodId]
 _GENERATOR_SCHEMES = [s.value for s in EpcScheme]
+# the digits of a numeric EPC; int() alone would also take "_", a sign,
+# spaces and non-ASCII digits
+_DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 10: frozenset("0123456789")}
+
+# the stage and exit code of a package error: the first row it is an instance of
+_STAGES = (
+    ((RegistryError, NoMatchError), "resolve", EXIT_RESOLVE),
+    (DerivationError, "derive", EXIT_DERIVE),
+    (EpcIpv6Error, "parse", EXIT_PARSE),
+)
 
 
 class CliError(Exception):
@@ -46,10 +58,6 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _stage_error(stage: str, exc: Exception, exit_code: int) -> CliError:
-    return CliError(stage, f"{type(exc).__name__}: {exc}", exit_code)
-
-
 class CliConfig:
     """Settings from the config file; a key the file leaves out keeps its default."""
 
@@ -58,65 +66,53 @@ class CliConfig:
     output_format: str = "text"
 
 
+# key -> (check giving the value to keep, or None when invalid; its message)
+_CONFIG_KEYS = {
+    "registry_path": (lambda value: value if isinstance(value, str) and value else None,
+                      "registry_path must be a non-empty string, got {!r}"),
+    "default_method": (lambda value: AddressingMethodId(value)
+                       if value in _METHOD_NAMES else None,
+                       "unknown default_method {!r}"),
+    "output_format": (lambda value: value if value in ("text", "structured") else None,
+                      "output_format must be 'text' or 'structured'"),
+}
+
+
 def load_config(environ=os.environ) -> CliConfig:
     """Config from the file named by EPC_IPV6_CONFIG, or defaults."""
     path = environ.get(CONFIG_ENV_VAR)
     if not path:
         return CliConfig()
+    # ValueError: the file is not JSON or not UTF-8; RecursionError: it nests too deeply
     try:
         with open(path, encoding="utf-8") as file:
             data = json.load(file)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError("config", f"cannot load {path}: {exc}", EXIT_USAGE) from exc
     if not isinstance(data, dict):
         raise CliError("config", f"{path} must hold a JSON object", EXIT_USAGE)
-    known = {"registry_path", "default_method", "output_format"}
-    unknown = set(data) - known
+    unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
-        raise CliError(
-            "config", f"unknown keys in {path}: {sorted(unknown)}", EXIT_USAGE
-        )
+        raise CliError("config", f"unknown keys in {path}: {sorted(unknown)}", EXIT_USAGE)
     config = CliConfig()
-    if "registry_path" in data:
-        registry_path = data["registry_path"]
-        if not isinstance(registry_path, str) or not registry_path:
-            raise CliError(
-                "config",
-                f"registry_path must be a non-empty string, got {registry_path!r}",
-                EXIT_USAGE,
-            )
-        config.registry_path = registry_path
-    if "default_method" in data:
-        try:
-            config.default_method = AddressingMethodId(data["default_method"])
-        except ValueError:
-            raise CliError(
-                "config", f"unknown default_method {data['default_method']!r}",
-                EXIT_USAGE,
-            ) from None
-    if "output_format" in data:
-        if data["output_format"] not in ("text", "structured"):
-            raise CliError(
-                "config", f"output_format must be 'text' or 'structured'", EXIT_USAGE
-            )
-        config.output_format = data["output_format"]
+    for key, (check, message) in _CONFIG_KEYS.items():
+        if key in data:
+            value = check(data[key])
+            if value is None:
+                raise CliError("config", message.format(data[key]), EXIT_USAGE)
+            setattr(config, key, value)
     return config
 
 
 def _epc_from_arg(text: str) -> Epc:
     """Accept a tag URI, or a raw numeric EPC in hex (0x...) or decimal."""
     if text.startswith("urn:"):
-        try:
-            return parse_tag_uri(text)
-        except EpcIpv6Error as exc:
-            raise _stage_error("parse", exc, EXIT_PARSE) from exc
-    try:
-        value = int(text, 16) if text.lower().startswith("0x") else int(text, 10)
-    except ValueError:
-        raise CliError(
-            "parse", f"{text!r} is neither a tag URI nor a number", EXIT_PARSE
-        ) from None
-    if value < 0 or value >= 1 << 256:
+        return parse_tag_uri(text)
+    digits, base = (text[2:], 16) if text[:2] in ("0x", "0X") else (text, 10)
+    if not (digits and _DIGITS[base].issuperset(digits)):
+        raise CliError("parse", f"{text!r} is neither a tag URI nor a number", EXIT_PARSE)
+    value = int(digits, base)
+    if value >= 1 << 256:
         raise CliError("parse", f"EPC value {text!r} outside 0..2^256", EXIT_PARSE)
     # a bare number is its own serial, per the raw-scheme convention
     return Epc(
@@ -132,46 +128,30 @@ def _ons_address(args, config: CliConfig, epc: Epc) -> Ipv6Address:
     if args.ons is not None and args.registry is not None:
         raise CliError("usage", "give exactly one of --ons and --registry", EXIT_USAGE)
     if args.ons is not None:
-        try:
-            return parse_ipv6(args.ons)
-        except Ipv6TextError as exc:
-            raise _stage_error("parse", exc, EXIT_PARSE) from exc
+        return parse_ipv6(args.ons)
+    missing = "an ONS source is required: --ons, --registry, or config"
+    return _registry(args, config, missing).resolve(epc)
+
+
+def _registry(args, config: CliConfig, missing_message: str) -> OnsRegistry:
+    """The registry named by --registry, else by the config's registry_path."""
     registry_path = args.registry or config.registry_path
     if registry_path is None:
-        raise CliError(
-            "usage", "an ONS source is required: --ons, --registry, or config",
-            EXIT_USAGE,
-        )
-    return _resolve_epc(registry_path, epc)
-
-
-def _resolve_epc(registry_path: str, epc: Epc) -> Ipv6Address:
-    try:
-        registry = load_registry(registry_path)
-        return registry.resolve(epc)
-    except EpcIpv6Error as exc:
-        raise _stage_error("resolve", exc, EXIT_RESOLVE) from exc
+        raise CliError("usage", missing_message, EXIT_USAGE)
+    return load_registry(registry_path)
 
 
 def cmd_derive(args, config: CliConfig) -> int:
     epc = _epc_from_arg(args.epc)
     ons = _ons_address(args, config, epc)
     method = AddressingMethodId(args.method or config.default_method)
-    try:
-        address = method_function(
-            method, salt=args.salt, standard=TagStandard(args.standard)
-        )(epc, ons)
-    except DerivationError as exc:
-        raise _stage_error("derive", exc, EXIT_DERIVE) from exc
-    print(address)
+    derive = method_function(method, salt=args.salt, standard=TagStandard(args.standard))
+    print(derive(epc, ons))
     return EXIT_OK
 
 
 def cmd_parse(args, config: CliConfig) -> int:
-    try:
-        epc = parse_tag_uri(args.uri)
-    except EpcIpv6Error as exc:
-        raise _stage_error("parse", exc, EXIT_PARSE) from exc
+    epc = parse_tag_uri(args.uri)
     fields = {
         "scheme": epc.scheme.value,
         "declared_bits": epc.declared_bits,
@@ -189,11 +169,7 @@ def cmd_parse(args, config: CliConfig) -> int:
 
 def cmd_resolve(args, config: CliConfig) -> int:
     epc = _epc_from_arg(args.uri)
-    registry_path = args.registry or config.registry_path
-    if registry_path is None:
-        raise CliError("usage", "--registry or a config registry_path is required",
-                       EXIT_USAGE)
-    address = _resolve_epc(registry_path, epc)
+    address = _registry(args, config, _REGISTRY_REQUIRED).resolve(epc)
     if _output_format(args, config) == "structured":
         print(json.dumps({"ons_ip": str(address)}))
     else:
@@ -205,15 +181,7 @@ def cmd_bench(args, config: CliConfig) -> int:
     # the harness loads here, so the other commands never import it
     from .bench import NotApplicable, PopulationSpec, compare, generate_population, render
 
-    registry_path = args.registry or config.registry_path
-    if registry_path is None:
-        raise CliError("usage", "--registry or a config registry_path is required",
-                       EXIT_USAGE)
-    try:
-        registry = load_registry(registry_path)
-    except EpcIpv6Error as exc:
-        raise _stage_error("resolve", exc, EXIT_RESOLVE) from exc
-
+    registry = _registry(args, config, _REGISTRY_REQUIRED)
     try:
         spec = PopulationSpec(
             scheme=EpcScheme(args.scheme),
@@ -240,7 +208,7 @@ def cmd_bench(args, config: CliConfig) -> int:
             with open(args.out, "w", encoding="utf-8") as file:
                 file.write(output)
         except OSError as exc:
-            raise _stage_error("output", exc, EXIT_USAGE) from exc
+            raise CliError("output", f"{type(exc).__name__}: {exc}", EXIT_USAGE) from exc
     else:
         sys.stdout.write(output)
     return EXIT_OK
@@ -329,6 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(exc, file=sys.stderr)
         return exc.exit_code
+    except EpcIpv6Error as exc:
+        for types, stage, exit_code in _STAGES:
+            if isinstance(exc, types):
+                print(f"{stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return exit_code
 
 
 def run() -> None:

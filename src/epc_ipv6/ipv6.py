@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 import struct
+from functools import total_ordering
 
 from ._frozen import Frozen, setfield
 from .errors import Ipv6TextError
@@ -24,6 +25,7 @@ _ZERO_RUNS = tuple(":0" * k + ":" for k in range(8, 1, -1))
 _ADDRESS_LIMIT = 1 << 128
 
 
+@total_ordering
 class Ipv6Address(Frozen):
     """An IPv6 address as one unsigned 128-bit integer; ordered by value."""
 
@@ -39,21 +41,6 @@ class Ipv6Address(Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.value < other.value
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value <= other.value
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value > other.value
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value >= other.value
 
     def __str__(self) -> str:
         return format_canonical(self)

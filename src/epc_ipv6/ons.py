@@ -90,12 +90,14 @@ def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read registry {path}: {exc}") from exc
     try:
         entries = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise RegistryError(f"registry {path} nests too deeply to load: {exc}") from exc
     if not isinstance(entries, list):
         raise RegistryError(f"registry {path} must be a JSON array of entries")
 

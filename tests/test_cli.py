@@ -460,3 +460,178 @@ class TestConfigFile:
         code = main(["parse", "urn:epc:tag:sgtin-96:3.0614141.812345.6789"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["serial_number"] == 6789
+
+
+SGTIN_URI = "urn:epc:tag:sgtin-96:3.0614141.812345.6789"
+GIAI_URI = "urn:epc:tag:giai-96:3.0614141.12345"
+NO_FILE = "[Errno 2] No such file or directory"
+
+
+class TestFailureMatrix:
+    """Exact stderr line and exit code of each failing invocation.
+
+    Paths are relative to the test's working directory, so every message is
+    the same on any machine.
+    """
+
+    REGISTRIES = {
+        "r.json": [{"pattern": "*", "ons_ip": ONS_TEXT}],
+        "badpat.json": [{"pattern": "usdod-96", "ons_ip": ONS_TEXT}],
+        "empty.json": [],
+        "rawonly.json": [{"pattern": "raw", "ons_ip": ONS_TEXT}],
+    }
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        for name, entries in self.REGISTRIES.items():
+            (tmp_path / name).write_text(json.dumps(entries), encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["derive", "urn:epc:tag:xyz-96:1.2.3", "--ons", "::"], EXIT_PARSE,
+             "parse: UnknownSchemeError: unknown tag scheme 'xyz-96'"),
+            (["derive", "zzz", "--ons", "::"], EXIT_PARSE,
+             "parse: 'zzz' is neither a tag URI nor a number"),
+            (["derive", "0x1" + "0" * 64, "--ons", "::"], EXIT_PARSE,
+             f"parse: EPC value '0x1{'0' * 64}' outside 0..2^256"),
+            (["derive", "0x1", "--ons", "not-an-address"], EXIT_PARSE,
+             "parse: Ipv6TextError: At least 3 parts expected in 'not-an-address'"),
+            (["derive", "0x1", "--ons", "::", "--registry", "r.json"], EXIT_USAGE,
+             "usage: give exactly one of --ons and --registry"),
+            (["derive", "0x1"], EXIT_USAGE,
+             "usage: an ONS source is required: --ons, --registry, or config"),
+            (["derive", "0x1", "--registry", "nope.json"], EXIT_RESOLVE,
+             f"resolve: RegistryError: cannot read registry nope.json: {NO_FILE}: "
+             "'nope.json'"),
+            (["derive", "0x1", "--registry", "badpat.json"], EXIT_RESOLVE,
+             "resolve: RegistryError: pattern 'usdod-96' names unknown scheme 'usdod-96'"),
+            (["derive", "0x1", "--registry", "empty.json"], EXIT_RESOLVE,
+             "resolve: NoMatchError: no registry record matches raw EPC"),
+            (["derive", SGTIN_URI, "--ons", ONS_TEXT, "--method", "direct64"],
+             EXIT_DERIVE,
+             "derive: EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id"),
+            (["derive", GIAI_URI, "--ons", ONS_TEXT, "--method", "xor_pad"], EXIT_DERIVE,
+             "derive: MissingValueError: EPC has no numeric value to derive from"),
+            (["resolve", "0x1"], EXIT_USAGE,
+             "usage: --registry or a config registry_path is required"),
+            (["resolve", "urn:epc:tag:sgtin-96:3", "--registry", "r.json"], EXIT_PARSE,
+             "parse: TagUriError: sgtin-96 URI needs 4 fields, got 1: "
+             "'urn:epc:tag:sgtin-96:3'"),
+            (["resolve", "0x1234", "--registry", "empty.json"], EXIT_RESOLVE,
+             "resolve: NoMatchError: no registry record matches raw EPC"),
+            (["parse", "urn:epc:tag:sgtin-96:3"], EXIT_PARSE,
+             "parse: TagUriError: sgtin-96 URI needs 4 fields, got 1: "
+             "'urn:epc:tag:sgtin-96:3'"),
+            (["parse", "urn:epc:tag:xyz-96:1.2.3"], EXIT_PARSE,
+             "parse: UnknownSchemeError: unknown tag scheme 'xyz-96'"),
+            (["bench"], EXIT_USAGE,
+             "usage: --registry or a config registry_path is required"),
+            (["bench", "--registry", "nope.json"], EXIT_RESOLVE,
+             f"resolve: RegistryError: cannot read registry nope.json: {NO_FILE}: "
+             "'nope.json'"),
+            (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "3",
+              "--serial-width-bits", "1"], EXIT_USAGE,
+             "usage: population spec: cannot draw 3 distinct values from a 1-bit space"),
+            (["bench", "--registry", "rawonly.json", "--count", "10"], EXIT_RESOLVE,
+             "bench: resolve: no registry record matches sgtin-96 EPC (epc=Epc("
+             "scheme=<EpcScheme.SGTIN96: 'sgtin-96'>, declared_bits=96, "
+             "value=14919741349936111450692782029, serial_number=214080161741, "
+             "uri=None))"),
+            (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "10",
+              "--out", "missing-dir/report.csv"], EXIT_USAGE,
+             f"output: FileNotFoundError: {NO_FILE}: 'missing-dir/report.csv'"),
+        ],
+    )
+    def test_command_failure(self, capsys, argv, code, err):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == err + "\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "config, err",
+        [
+            ({"registry_path": 5},
+             "config: registry_path must be a non-empty string, got 5"),
+            ({"registry_path": "r.json", "bogus_key": 1},
+             "config: unknown keys in config.json: ['bogus_key']"),
+            ({"default_method": "bogus"}, "config: unknown default_method 'bogus'"),
+            ({"output_format": "xml"},
+             "config: output_format must be 'text' or 'structured'"),
+            ([], "config: config.json must hold a JSON object"),
+            (None,
+             f"config: cannot load nope-config.json: {NO_FILE}: 'nope-config.json'"),
+        ],
+    )
+    def test_config_failure(self, capsys, monkeypatch, tmp_path, config, err):
+        if config is None:
+            monkeypatch.setenv(CONFIG_ENV_VAR, "nope-config.json")
+        else:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            monkeypatch.setenv(CONFIG_ENV_VAR, "config.json")
+        assert main(["derive", "0x1", "--ons", "::"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == err + "\n"
+        assert captured.out == ""
+
+
+UNDECODABLE = {
+    "not-utf8": b"\xff\xfe[]",
+    "nested-past-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+class TestUndecodableFiles:
+    """A registry or config file Python cannot decode is a stage error."""
+
+    @pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE)
+    @pytest.mark.parametrize("command", ["derive", "resolve", "bench"])
+    def test_registry_is_resolve_error(self, capsys, tmp_path, command, content):
+        registry = tmp_path / "registry.json"
+        registry.write_bytes(content)
+        argv = [command, "--registry", str(registry)]
+        if command != "bench":
+            argv.insert(1, "0x1")
+        assert main(argv) == EXIT_RESOLVE
+        err = capsys.readouterr().err
+        assert err.startswith("resolve: RegistryError: ")
+        assert str(registry) in err
+
+    @pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE)
+    def test_config_is_usage_error(self, capsys, monkeypatch, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+        assert main(["derive", "0x1", "--ons", "::"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"config: cannot load {config}: ")
+
+
+class TestNumericEpcGrammar:
+    """A numeric EPC is 0x/0X and ASCII hex digits, or ASCII decimal digits."""
+
+    @pytest.mark.parametrize(
+        "text, address",
+        [("0x1f", "::1f"), ("0X1F", "::1f"), ("31", "::1f"), ("0031", "::1f"),
+         ("0", "::")],
+    )
+    def test_accepted(self, capsys, text, address):
+        assert main(["derive", text, "--ons", "::"]) == EXIT_OK
+        assert capsys.readouterr().out == address + "\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0", " +10 ", "+10", "10 ", "0x_ff", "0xf_f", "٣", "0x٣",
+         "１", "0x", "0x0x1f", "0b101", "", "1e3", "10\n"],
+    )
+    def test_rejected(self, capsys, text):
+        assert main(["derive", text, "--ons", "::"]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"parse: {text!r} is neither a tag URI nor a number\n"
+        )
+
+    def test_resolve_uses_the_same_grammar(self, capsys, wildcard_registry_path):
+        argv = ["resolve", "1_0", "--registry", str(wildcard_registry_path)]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse: '1_0' is neither")

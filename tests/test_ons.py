@@ -101,6 +101,17 @@ class TestLoadRegistry:
         with pytest.raises(RegistryError):
             load_registry(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe[]", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "nested-past-recursion-limit"],
+    )
+    def test_undecodable_file(self, tmp_path, content):
+        path = tmp_path / "registry.json"
+        path.write_bytes(content)
+        with pytest.raises(RegistryError):
+            load_registry(path)
+
 
 class TestResolve:
     def test_company_beats_scheme_and_wildcard(self, registry_file, sgtin_epc):

@@ -1,9 +1,11 @@
 """Benchmark harness: seeded EPC populations, collision and timing reports.
 
 Populations are generated from a seed with the stdlib Mersenne Twister, so
-equal specs give byte-identical populations on every platform. Reports are
-deterministic for equal inputs except for the timing block, which measures
-wall-clock derivation cost only (registry resolution happens beforehand).
+equal specs give byte-identical populations on every platform. ``compare``
+resolves a population once and reports each method over it; ``evaluate``
+is ``compare`` of one method. Reports are deterministic for equal inputs
+except for the timing block, which measures wall-clock derivation cost
+only (registry resolution happens beforehand).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .ons import OnsRegistry, resolve
 
 CSV_HEADER = "method,population,distinct,collisions,mean_time,p99_time"
 
-# derivations per clock pair in evaluate; each chunk's mean is one timing sample
+# derivations per clock pair in compare; each chunk's mean is one timing sample
 DERIVE_CHUNK = 1024
 # example members listed per collision group in JSON reports
 _GROUP_EXAMPLES = 4
@@ -101,7 +103,7 @@ class BenchReport:
                 {
                     "address": str(address),
                     "members": len(epcs),
-                    "examples": [_epc_label(epc) for epc in epcs[:_GROUP_EXAMPLES]],
+                    "examples": [epc._label() for epc in epcs[:_GROUP_EXAMPLES]],
                 }
                 for address, epcs in self.collision_groups
             ],
@@ -143,7 +145,7 @@ class NotApplicable:
             "method": self.method.value,
             "population_size": self.population_size,
             "failures": self.failures,
-            "first_failure": {"epc": _epc_label(self.first_epc), "error": self.first_error},
+            "first_failure": {"epc": self.first_epc._label(), "error": self.first_error},
         }
 
     def csv_row(self) -> str:
@@ -152,15 +154,7 @@ class NotApplicable:
     def __str__(self) -> str:
         failures = ", ".join(f"{name} x{count}" for name, count in self.failures.items())
         return (f"{self.method.value} not applicable ({failures}); "
-                f"first failing EPC {_epc_label(self.first_epc)}")
-
-
-def _epc_label(epc: Epc) -> str:
-    if epc.uri is not None:
-        return epc.uri
-    if epc.value is not None:
-        return f"{epc.scheme.value}:{epc.value:#x}"
-    return f"{epc.scheme.value}:serial={epc.serial_number}"
+                f"first failing EPC {self.first_epc._label()}")
 
 
 def _distinct_serials(rng: random.Random, width: int, count: int) -> list[int]:
@@ -233,23 +227,53 @@ def evaluate(
 ) -> BenchReport:
     """Derive one address per EPC and report collisions, hierarchy, timing.
 
-    EPCs that derived the same address form one collision group; the
-    shared-prefix histogram counts, per EPC, how many leading bits the
-    derived address shares with that EPC's resolved ONS address. Only the
-    derivations are timed, one clock pair per chunk of ``DERIVE_CHUNK``.
-    They run on the method's integer kernel, so an ``Ipv6Address`` is
-    built only for each reported collision group.
+    This is :func:`compare` of one method. EPCs that derived the same
+    address form one collision group; the shared-prefix histogram counts,
+    per EPC, how many leading bits the derived address shares with that
+    EPC's resolved ONS address. A derivation failure raises
+    :class:`EvaluationError` naming the first EPC that failed.
+    """
+    (row,) = compare([method], population, registry, salt, standard)
+    if isinstance(row, NotApplicable):
+        raise EvaluationError("derive", row.first_epc, row.first_error)
+    return row
+
+
+def compare(
+    methods: list[AddressingMethodId],
+    population: list[Epc],
+    registry: OnsRegistry,
+    salt: int = 0,
+    standard: TagStandard = TagStandard.EPC,
+) -> list[BenchReport | NotApplicable]:
+    """Report each method, in order, over one resolve of the population.
+
+    Every method is bound first, so a bad salt or standard raises
+    :class:`InvalidOptionError` before anything is resolved. A resolve
+    failure applies to every method, so it raises :class:`EvaluationError`.
+    A method whose derivations fail is reported as :class:`NotApplicable`.
     """
     if not population:
         raise ValueError("population must not be empty")
-    kernel = integer_kernel(method, salt=salt, standard=standard)
+    bound = [(method, integer_kernel(method, salt=salt, standard=standard)) for method in methods]
     ons_values = []
     for epc in population:
         try:
             ons_values.append(resolve(registry, epc).value)
         except EpcIpv6Error as exc:
-            raise EvaluationError("resolve", epc, str(exc)) from exc
+            raise EvaluationError("resolve", epc, f"{type(exc).__name__}: {exc}") from exc
+    return [_measure(method, kernel, population, ons_values) for method, kernel in bound]
 
+
+def _measure(
+    method: AddressingMethodId, kernel, population: list[Epc], ons_values: list[int]
+) -> BenchReport | NotApplicable:
+    """One method's report over resolved ONS values, or its failures.
+
+    Only the derivations are timed, one clock pair per chunk of
+    ``DERIVE_CHUNK``. They run on the method's integer kernel, so an
+    ``Ipv6Address`` is built only for each reported collision group.
+    """
     values: list[int] = []
     total = 0.0
     chunk_means: list[float] = []
@@ -262,20 +286,23 @@ def evaluate(
             epcs = population[lo:lo + DERIVE_CHUNK]
             onss = ons_values[lo:lo + DERIVE_CHUNK]
             start = perf_counter()
-            try:
-                chunk = list(map(kernel, epcs, onss))
-            except EpcIpv6Error:
-                # the chunk does not say which call failed: replay it call by call
-                for epc, ons in zip(epcs, onss):
-                    try:
-                        kernel(epc, ons)
-                    except EpcIpv6Error as exc:
-                        raise EvaluationError("derive", epc, str(exc)) from exc
-                raise
+            chunk = list(map(kernel, epcs, onss))
             elapsed = perf_counter() - start
             total += elapsed
             chunk_means.append(elapsed / len(epcs))
             values += chunk
+    except DerivationError:
+        # a chunk does not say which call failed: one pass counts them all
+        failures: Counter[str] = Counter()
+        first = None
+        for epc, ons in zip(population, ons_values):
+            try:
+                kernel(epc, ons)
+            except DerivationError as error:
+                failures[type(error).__name__] += 1
+                if first is None:
+                    first = (epc, f"{type(error).__name__}: {error}")
+        return NotApplicable(method, len(population), dict(sorted(failures.items())), *first)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -308,41 +335,6 @@ def evaluate(
         shared_prefix_depth={128 - k: n for k, n in differing_bits.items()},
         timing=timing,
     )
-
-
-def compare(
-    methods: list[AddressingMethodId],
-    population: list[Epc],
-    registry: OnsRegistry,
-    salt: int = 0,
-    standard: TagStandard = TagStandard.EPC,
-) -> list[BenchReport | NotApplicable]:
-    """Evaluate each method in turn, in order.
-
-    A method whose derivations fail is reported as :class:`NotApplicable`,
-    with its failures counted over the whole population. A resolve failure
-    applies to every method, so its :class:`EvaluationError` propagates.
-    """
-    rows: list[BenchReport | NotApplicable] = []
-    for method in methods:
-        try:
-            rows.append(evaluate(method, population, registry, salt, standard))
-        except EvaluationError as exc:
-            if exc.stage == "resolve":
-                raise
-            kernel = integer_kernel(method, salt=salt, standard=standard)
-            failures: Counter[str] = Counter()
-            for epc in population:
-                try:
-                    kernel(epc, resolve(registry, epc).value)
-                except DerivationError as error:
-                    failures[type(error).__name__] += 1
-            cause = exc.__cause__
-            rows.append(NotApplicable(
-                method, len(population), dict(sorted(failures.items())),
-                exc.epc, f"{type(cause).__name__}: {cause}",
-            ))
-    return rows
 
 
 def render(spec: PopulationSpec, rows: list[BenchReport | NotApplicable],

@@ -38,7 +38,7 @@ _REGISTRY_REQUIRED = "--registry or a config registry_path is required"
 
 _METHOD_NAMES = [m.value for m in AddressingMethodId]
 _GENERATOR_SCHEMES = [s.value for s in EpcScheme]
-# the digits of a numeric EPC; int() alone would also take "_", a sign,
+# the digits of a number argument; int() alone would also take "_", a sign,
 # spaces and non-ASCII digits
 _DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 10: frozenset("0123456789")}
 
@@ -104,23 +104,23 @@ def load_config(environ=os.environ) -> CliConfig:
     return config
 
 
+def _number(text: str) -> int | None:
+    """0x/0X and ASCII hex digits, or ASCII decimal digits, as an int; else None."""
+    digits, base = (text[2:], 16) if text[:2] in ("0x", "0X") else (text, 10)
+    return int(digits, base) if digits and _DIGITS[base].issuperset(digits) else None
+
+
 def _epc_from_arg(text: str) -> Epc:
     """Accept a tag URI, or a raw numeric EPC in hex (0x...) or decimal."""
     if text.startswith("urn:"):
         return parse_tag_uri(text)
-    digits, base = (text[2:], 16) if text[:2] in ("0x", "0X") else (text, 10)
-    if not (digits and _DIGITS[base].issuperset(digits)):
+    value = _number(text)
+    if value is None:
         raise CliError("parse", f"{text!r} is neither a tag URI nor a number", EXIT_PARSE)
-    value = int(digits, base)
     if value >= 1 << 256:
         raise CliError("parse", f"EPC value {text!r} outside 0..2^256", EXIT_PARSE)
     # a bare number is its own serial, per the raw-scheme convention
-    return Epc(
-        scheme=EpcScheme.RAW,
-        declared_bits=bit_length(value),
-        value=value,
-        serial_number=value,
-    )
+    return Epc(EpcScheme.RAW, bit_length(value), value, value)
 
 
 def _ons_address(args, config: CliConfig, epc: Epc) -> Ipv6Address:
@@ -196,8 +196,9 @@ def cmd_bench(args, config: CliConfig) -> int:
     methods = [AddressingMethodId(name) for name in args.methods]
     try:
         rows = compare(methods, population, registry, args.salt, args.standard)
-    except EvaluationError as exc:
-        raise CliError("bench", str(exc), EXIT_RESOLVE) from exc
+    except EvaluationError as exc:  # a resolve failure: "resolve: <ErrorType>: ..."
+        print(exc, file=sys.stderr)
+        return EXIT_RESOLVE
     for row in rows:
         if isinstance(row, NotApplicable):
             print(f"bench: {row}", file=sys.stderr)
@@ -219,11 +220,10 @@ def _output_format(args, config: CliConfig) -> str:
 
 
 def _salt_arg(text: str) -> int:
-    try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"salt {text!r} is not a number") from None
-    if not 0 <= value < 1 << 64:
+    value = _number(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"salt {text!r} is not a number")
+    if value >= 1 << 64:
         raise argparse.ArgumentTypeError(f"salt {text!r} does not fit 64 bits")
     return value
 

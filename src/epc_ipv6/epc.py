@@ -160,6 +160,9 @@ class Epc(Frozen):
         serial_number: int | None = None,
         uri: str | None = None,
     ):
+        # the text "sgtin-96" equals its member but would pass no scheme's checks
+        if scheme.__class__ is not EpcScheme:
+            raise ValueError(f"scheme must be an EpcScheme, got {scheme!r}")
         if scheme is EpcScheme.RAW:
             if not 1 <= declared_bits <= 256:
                 raise ValueError(f"raw EPC width {declared_bits} outside 1..256")
@@ -205,6 +208,15 @@ class Epc(Frozen):
         setfield(self, "serial_number", serial_number)
         setfield(self, "uri", uri)
         return self
+
+    def _label(self) -> str:
+        """How reports and errors name an EPC: its URI, else ``scheme:0x<value>``,
+        else ``scheme:serial=<serial>``."""
+        if self.uri is not None:
+            return self.uri
+        if self.value is not None:
+            return f"{self.scheme.value}:{self.value:#x}"
+        return f"{self.scheme.value}:serial={self.serial_number}"
 
 
 def _check_sgtin96(value: int) -> tuple[int, int, int]:

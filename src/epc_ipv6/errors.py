@@ -80,9 +80,13 @@ class UnsatisfiableSpecError(EpcIpv6Error):
 
 
 class EvaluationError(EpcIpv6Error):
-    """A resolve or derive call failed for one EPC of a population."""
+    """A resolve or derive call failed for one EPC of a population.
+
+    Its text is ``<stage>: <message> (epc=<label>)``, the label being the
+    EPC's URI, ``scheme:0x<value>`` or ``scheme:serial=<serial>``.
+    """
 
     def __init__(self, stage: str, epc, message: str):
-        super().__init__(f"{stage}: {message} (epc={epc!r})")
+        super().__init__(f"{stage}: {message} (epc={epc._label()})")
         self.stage = stage
         self.epc = epc

@@ -20,8 +20,10 @@ from epc_ipv6 import (
     load_registry,
     parse_ipv6,
     plan,
+    resolve,
 )
-from epc_ipv6.bench import CSV_HEADER
+from epc_ipv6 import bench
+from epc_ipv6.bench import CSV_HEADER, NotApplicable, compare
 from epc_ipv6.errors import EvaluationError, InvalidOptionError, UnsatisfiableSpecError
 
 from conftest import ONS_TEXT
@@ -269,15 +271,60 @@ class TestEvaluate:
         assert report.csv_row().split(",")[3] == "1999000"
 
     def test_out_of_range_salt_rejected_before_resolving(self, registry_file):
-        # the registry cannot resolve a raw EPC, so a resolve error would win
+        # the registry cannot resolve a raw EPC, so a resolve error would win;
+        # compare binds every method first, even one after a method that applies
         registry = load_registry(registry_file([{"pattern": "sgtin-96", "ons_ip": ONS_TEXT}]))
         epc = Epc(scheme=EpcScheme.RAW, declared_bits=8, value=1, serial_number=1)
-        with pytest.raises(InvalidOptionError, match="does not fit 64 bits"):
-            evaluate(AddressingMethodId.XOR_PAD, [epc], registry, salt=1 << 64)
+        for method, options, message in [
+            (AddressingMethodId.XOR_PAD, {"salt": 1 << 64}, "does not fit 64 bits"),
+            (AddressingMethodId.ISO_EPC, {"standard": "bogus"}, "'bogus'"),
+        ]:
+            with pytest.raises(InvalidOptionError, match=message):
+                evaluate(method, [epc], registry, **options)
+            with pytest.raises(InvalidOptionError, match=message):
+                compare([AddressingMethodId.HYBRID_ONS, method], [epc], registry, **options)
 
     def test_empty_population_rejected(self, wildcard_registry):
         with pytest.raises(ValueError):
             evaluate(AddressingMethodId.HYBRID_ONS, [], wildcard_registry)
+
+
+class TestCompare:
+    def test_resolves_each_epc_once(self, monkeypatch, wildcard_registry):
+        calls = []
+
+        def counting_resolve(registry, epc):
+            calls.append(epc)
+            return resolve(registry, epc)
+
+        monkeypatch.setattr(bench, "resolve", counting_resolve)
+        population = generate_population(
+            PopulationSpec(scheme=EpcScheme.SGTIN96, count=2000, seed=5)
+        )
+        rows = compare(list(AddressingMethodId), population, wildcard_registry)
+        assert len(calls) == len(population)
+        assert [row.method for row in rows] == list(AddressingMethodId)
+        assert [type(row) for row in rows].count(NotApplicable) == 1  # direct64
+
+    def test_failures_counted_over_the_whole_population(self, wildcard_registry):
+        # one failure deep in the third chunk, one more in the last chunk
+        population = TestEvaluate._raw_population_with_giai_at(2500)
+        population[2900] = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=8)
+        (row,) = compare([AddressingMethodId.DIRECT64], population, wildcard_registry)
+        assert row == NotApplicable(
+            AddressingMethodId.DIRECT64, 3000, {"EpcTooWideError": 2}, population[2500],
+            "EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id",
+        )
+        assert row.first_epc is population[2500]
+
+    def test_evaluate_names_the_error_type_and_the_epc_label(self, wildcard_registry):
+        epc = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=5678)
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(AddressingMethodId.DIRECT64, [epc], wildcard_registry)
+        assert str(excinfo.value) == (
+            "derive: EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id "
+            "(epc=giai-96:serial=5678)"
+        )
 
 
 class TestReports:

@@ -10,6 +10,7 @@ from epc_ipv6.cli import (
     EXIT_RESOLVE,
     EXIT_USAGE,
     CONFIG_ENV_VAR,
+    build_parser,
     main,
 )
 
@@ -338,7 +339,7 @@ class TestBenchCommand:
         registry = registry_file([{"pattern": "raw", "ons_ip": ONS_TEXT}])
         code = main(["bench", "--registry", str(registry)])
         assert code == EXIT_RESOLVE
-        assert capsys.readouterr().err.startswith("bench: resolve: ")
+        assert capsys.readouterr().err.startswith("resolve: NoMatchError: ")
 
     def test_unknown_method_listed(self, capsys, wildcard_registry_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -535,10 +536,8 @@ class TestFailureMatrix:
               "--serial-width-bits", "1"], EXIT_USAGE,
              "usage: population spec: cannot draw 3 distinct values from a 1-bit space"),
             (["bench", "--registry", "rawonly.json", "--count", "10"], EXIT_RESOLVE,
-             "bench: resolve: no registry record matches sgtin-96 EPC (epc=Epc("
-             "scheme=<EpcScheme.SGTIN96: 'sgtin-96'>, declared_bits=96, "
-             "value=14919741349936111450692782029, serial_number=214080161741, "
-             "uri=None))"),
+             "resolve: NoMatchError: no registry record matches sgtin-96 EPC "
+             "(epc=sgtin-96:0x3035521f39e37971d82c07cd)"),
             (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "10",
               "--out", "missing-dir/report.csv"], EXIT_USAGE,
              f"output: FileNotFoundError: {NO_FILE}: 'missing-dir/report.csv'"),
@@ -635,3 +634,33 @@ class TestNumericEpcGrammar:
         argv = ["resolve", "1_0", "--registry", str(wildcard_registry_path)]
         assert main(argv) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("parse: '1_0' is neither")
+
+
+class TestSaltGrammar:
+    """A salt is 0x/0X and ASCII hex digits, or ASCII decimal digits, as a numeric EPC."""
+
+    @pytest.mark.parametrize(
+        "text, salt",
+        [("0x1f", 31), ("0X1F", 31), ("31", 31), ("010", 10), ("0", 0),
+         ("0x" + "f" * 16, 2**64 - 1)],
+    )
+    @pytest.mark.parametrize("command", ["derive", "bench"])
+    def test_accepted(self, command, text, salt):
+        argv = [command, "--salt", text] + (["0x1"] if command == "derive" else [])
+        assert build_parser().parse_args(argv).salt == salt
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0", " 5 ", "+5", "-1", "٣", "0x٣", "0b101", "0o17", "0x", "", "5\n", "1e3"],
+    )
+    def test_rejected(self, capsys, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["derive", "0x1", "--ons", "::", "--method", "xor_pad", "--salt", text])
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"salt {text!r} is not a number" in capsys.readouterr().err
+
+    def test_wider_than_64_bits_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--salt", "0x1" + "0" * 16])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "does not fit 64 bits" in capsys.readouterr().err

@@ -321,6 +321,16 @@ class TestEpcInvariants:
                 value=GOLDEN_SGTIN96, serial_number=6790,
             )
 
+    @pytest.mark.parametrize(
+        "args",
+        [("raw", 8, 1, 1), ("sgtin-96", 96, 5, 5), ("giai-96", 96, None, 5), (None, 8, 1, 1)],
+    )
+    def test_scheme_must_be_an_epc_scheme(self, args):
+        # a scheme given as text skipped every scheme-specific check, so a
+        # "sgtin-96" value with a wrong header built and then broke resolve
+        with pytest.raises(ValueError, match="scheme must be an EpcScheme"):
+            Epc(*args)
+
     def test_raw_width_bounds(self):
         with pytest.raises(ValueError):
             Epc(scheme=EpcScheme.RAW, declared_bits=0, value=0)

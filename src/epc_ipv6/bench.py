@@ -119,9 +119,6 @@ class BenchReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def csv_row(self) -> str:
         return (
             f"{self.method.value},{self.population_size},"

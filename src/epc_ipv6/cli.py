@@ -20,8 +20,10 @@ from .errors import (
     DerivationError,
     EpcIpv6Error,
     EvaluationError,
+    FieldRangeError,
     NoMatchError,
     RegistryError,
+    TagUriError,
     UnsatisfiableSpecError,
 )
 from .ipv6 import Ipv6Address, parse_ipv6
@@ -51,11 +53,10 @@ _STAGES = (
 
 
 class CliError(Exception):
-    """Failure with a stage tag and the process exit code to use."""
+    """Usage error (exit 2) with a stage tag; package errors go through _STAGES."""
 
-    def __init__(self, stage: str, message: str, exit_code: int):
+    def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
-        self.exit_code = exit_code
 
 
 class CliConfig:
@@ -78,9 +79,9 @@ _CONFIG_KEYS = {
 }
 
 
-def load_config(environ=os.environ) -> CliConfig:
+def load_config() -> CliConfig:
     """Config from the file named by EPC_IPV6_CONFIG, or defaults."""
-    path = environ.get(CONFIG_ENV_VAR)
+    path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return CliConfig()
     # ValueError: the file is not JSON or not UTF-8; RecursionError: it nests too deeply
@@ -88,18 +89,18 @@ def load_config(environ=os.environ) -> CliConfig:
         with open(path, encoding="utf-8") as file:
             data = json.load(file)
     except (OSError, ValueError, RecursionError) as exc:
-        raise CliError("config", f"cannot load {path}: {exc}", EXIT_USAGE) from exc
+        raise CliError("config", f"cannot load {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError("config", f"{path} must hold a JSON object", EXIT_USAGE)
+        raise CliError("config", f"{path} must hold a JSON object")
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
-        raise CliError("config", f"unknown keys in {path}: {sorted(unknown)}", EXIT_USAGE)
+        raise CliError("config", f"unknown keys in {path}: {sorted(unknown)}")
     config = CliConfig()
     for key, (check, message) in _CONFIG_KEYS.items():
         if key in data:
             value = check(data[key])
             if value is None:
-                raise CliError("config", message.format(data[key]), EXIT_USAGE)
+                raise CliError("config", message.format(data[key]))
             setattr(config, key, value)
     return config
 
@@ -116,9 +117,9 @@ def _epc_from_arg(text: str) -> Epc:
         return parse_tag_uri(text)
     value = _number(text)
     if value is None:
-        raise CliError("parse", f"{text!r} is neither a tag URI nor a number", EXIT_PARSE)
+        raise TagUriError(f"{text!r} is neither a tag URI nor a number")
     if value >= 1 << 256:
-        raise CliError("parse", f"EPC value {text!r} outside 0..2^256", EXIT_PARSE)
+        raise FieldRangeError(f"EPC value {text!r} outside 0..2^256")
     # a bare number is its own serial, per the raw-scheme convention
     return Epc(EpcScheme.RAW, bit_length(value), value, value)
 
@@ -126,7 +127,7 @@ def _epc_from_arg(text: str) -> Epc:
 def _ons_address(args, config: CliConfig, epc: Epc) -> Ipv6Address:
     """Single ONS source: --ons literal, or --registry / config lookup."""
     if args.ons is not None and args.registry is not None:
-        raise CliError("usage", "give exactly one of --ons and --registry", EXIT_USAGE)
+        raise CliError("usage", "give exactly one of --ons and --registry")
     if args.ons is not None:
         return parse_ipv6(args.ons)
     missing = "an ONS source is required: --ons, --registry, or config"
@@ -137,7 +138,7 @@ def _registry(args, config: CliConfig, missing_message: str) -> OnsRegistry:
     """The registry named by --registry, else by the config's registry_path."""
     registry_path = args.registry or config.registry_path
     if registry_path is None:
-        raise CliError("usage", missing_message, EXIT_USAGE)
+        raise CliError("usage", missing_message)
     return load_registry(registry_path)
 
 
@@ -191,7 +192,7 @@ def cmd_bench(args, config: CliConfig) -> int:
         )
         population = generate_population(spec)
     except (UnsatisfiableSpecError, ValueError) as exc:
-        raise CliError("usage", f"population spec: {exc}", EXIT_USAGE) from exc
+        raise CliError("usage", f"population spec: {exc}") from exc
 
     methods = [AddressingMethodId(name) for name in args.methods]
     try:
@@ -209,7 +210,7 @@ def cmd_bench(args, config: CliConfig) -> int:
             with open(args.out, "w", encoding="utf-8") as file:
                 file.write(output)
         except OSError as exc:
-            raise CliError("output", f"{type(exc).__name__}: {exc}", EXIT_USAGE) from exc
+            raise CliError("output", f"{type(exc).__name__}: {exc}") from exc
     else:
         sys.stdout.write(output)
     return EXIT_OK
@@ -296,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args, config)
     except CliError as exc:
         print(exc, file=sys.stderr)
-        return exc.exit_code
+        return EXIT_USAGE
     except EpcIpv6Error as exc:
         for types, stage, exit_code in _STAGES:
             if isinstance(exc, types):

@@ -66,6 +66,10 @@ SERIAL_BITS = {
 
 _URI_PREFIX = "urn:epc:tag:"
 
+# the classes an Epc field may have, exactly: subclasses such as bool are refused
+_INT_OR_NONE = frozenset((int, type(None)))
+_STR_OR_NONE = frozenset((str, type(None)))
+
 
 def bit_length(value: int) -> int:
     """Position of the most significant one-bit, 1-based.
@@ -163,6 +167,15 @@ class Epc(Frozen):
         # the text "sgtin-96" equals its member but would pass no scheme's checks
         if scheme.__class__ is not EpcScheme:
             raise ValueError(f"scheme must be an EpcScheme, got {scheme!r}")
+        # a float or bool field would build and then fail far from here
+        if (declared_bits.__class__ is not int or value.__class__ not in _INT_OR_NONE
+                or serial_number.__class__ not in _INT_OR_NONE
+                or uri.__class__ not in _STR_OR_NONE):
+            raise ValueError(
+                "declared_bits must be an int, value and serial_number an int or None, "
+                f"uri a str or None; got {declared_bits!r}, {value!r}, "
+                f"{serial_number!r}, {uri!r}"
+            )
         if scheme is EpcScheme.RAW:
             if not 1 <= declared_bits <= 256:
                 raise ValueError(f"raw EPC width {declared_bits} outside 1..256")
@@ -303,34 +316,30 @@ def parse_tag_uri(text: str) -> Epc:
     scheme_name, sep, fields_text = text[len(_URI_PREFIX):].partition(":")
     if not sep or not fields_text:
         raise TagUriError(f"tag URI has no field section: {text!r}")
-    parser = _PARSERS.get(scheme_name)
-    if parser is None:
+    entry = _PARSERS.get(scheme_name)
+    if entry is None:
         raise UnknownSchemeError(f"unknown tag scheme {scheme_name!r}")
 
     fields = fields_text.split(".")
     for field in fields:
         if field and not (field.isascii() and field.isdigit()):
             raise TagUriError(f"non-decimal field {field!r} in {text!r}")
-
-    return parser(text, fields)
-
-
-def _parse_filter(field: str) -> int:
-    if len(field) != 1:
-        raise FieldRangeError(f"filter field {field!r} must be a single digit")
-    value = int(field)
-    if value > 7:
-        raise FieldRangeError(f"filter value {value} outside 0..7")
-    return value
-
-
-def _parse_partition(company_field: str) -> int:
-    partition = _COMPANY_DIGITS_TO_PARTITION.get(len(company_field))
-    if partition is None:
-        raise FieldRangeError(
-            f"company prefix {company_field!r} must be 6..12 digits"
+    # every scheme reads filter.company-prefix.…; the prefix length gives the partition
+    field_count, parser = entry
+    if len(fields) != field_count:
+        raise TagUriError(
+            f"{scheme_name} URI needs {field_count} fields, got {len(fields)}: {text!r}"
         )
-    return partition
+    filter_field = fields[0]
+    if len(filter_field) != 1:
+        raise FieldRangeError(f"filter field {filter_field!r} must be a single digit")
+    filter_value = int(filter_field)
+    if filter_value > 7:
+        raise FieldRangeError(f"filter value {filter_value} outside 0..7")
+    partition = _COMPANY_DIGITS_TO_PARTITION.get(len(fields[1]))
+    if partition is None:
+        raise FieldRangeError(f"company prefix {fields[1]!r} must be 6..12 digits")
+    return parser(text, fields, filter_value, partition)
 
 
 def _parse_serial(field: str, max_bits: int) -> int:
@@ -343,13 +352,9 @@ def _parse_serial(field: str, max_bits: int) -> int:
     return serial
 
 
-def _parse_sgtin96(text: str, fields: list[str]) -> Epc:
-    if len(fields) != 4:
-        raise TagUriError(f"sgtin-96 URI needs 4 fields, got {len(fields)}: {text!r}")
-    filter_field, company_field, item_field, serial_field = fields
-    filter_value = _parse_filter(filter_field)
-    partition = _parse_partition(company_field)
-    _, _, _, item_digits = SGTIN96_PARTITIONS[partition]
+def _parse_sgtin96(text: str, fields: list[str], filter_value: int, partition: int) -> Epc:
+    _, company_field, item_field, serial_field = fields
+    item_digits = SGTIN96_PARTITIONS[partition][3]
     if len(item_field) != item_digits:
         raise FieldRangeError(
             f"item reference {item_field!r} must be {item_digits} digits "
@@ -363,40 +368,31 @@ def _parse_sgtin96(text: str, fields: list[str]) -> Epc:
     return Epc._trusted(EpcScheme.SGTIN96, 96, value, serial, text)
 
 
-def _parse_giai96(text: str, fields: list[str]) -> Epc:
-    if len(fields) != 3:
-        raise TagUriError(f"giai-96 URI needs 3 fields, got {len(fields)}: {text!r}")
-    filter_field, company_field, asset_field = fields
-    _parse_filter(filter_field)
-    partition = _parse_partition(company_field)
-    company_bits = SGTIN96_PARTITIONS[partition][0]
+def _parse_giai96(text: str, fields: list[str], filter_value: int, partition: int) -> Epc:
     # asset reference fills the 82 bits left after header/filter/partition,
     # at most 62 (SERIAL_BITS) since company_bits >= 20
-    serial = _parse_serial(asset_field, 82 - company_bits)
+    serial = _parse_serial(fields[2], 82 - SGTIN96_PARTITIONS[partition][0])
     return Epc._trusted(EpcScheme.GIAI96, 96, None, serial, text)
 
 
-def _parse_sgln96(text: str, fields: list[str]) -> Epc:
-    if len(fields) != 4:
-        raise TagUriError(f"sgln-96 URI needs 4 fields, got {len(fields)}: {text!r}")
-    filter_field, company_field, location_field, extension_field = fields
-    _parse_filter(filter_field)
-    partition = _parse_partition(company_field)
+def _parse_sgln96(text: str, fields: list[str], filter_value: int, partition: int) -> Epc:
+    _, company_field, location_field, extension_field = fields
     location_digits = 12 - SGTIN96_PARTITIONS[partition][1]
     if len(location_field) != location_digits:
         raise FieldRangeError(
             f"location reference {location_field!r} must be {location_digits} "
             f"digits for a {len(company_field)}-digit company prefix"
         )
-    serial = _parse_serial(extension_field, 41)
+    serial = _parse_serial(extension_field, SERIAL_BITS[EpcScheme.SGLN96])
     return Epc._trusted(EpcScheme.SGLN96, 96, None, serial, text)
 
 
-# every scheme but raw has a tag URI form
+# every scheme but raw has a tag URI form: scheme name -> (field count, parser);
+# parse_tag_uri checks the count, the filter and the partition before the parser
 _PARSERS = {
-    EpcScheme.SGTIN96.value: _parse_sgtin96,
-    EpcScheme.GIAI96.value: _parse_giai96,
-    EpcScheme.SGLN96.value: _parse_sgln96,
+    EpcScheme.SGTIN96.value: (4, _parse_sgtin96),
+    EpcScheme.GIAI96.value: (3, _parse_giai96),
+    EpcScheme.SGLN96.value: (4, _parse_sgln96),
 }
 
 

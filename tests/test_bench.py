@@ -346,7 +346,7 @@ class TestReports:
         assert json.dumps(d1) == json.dumps(d2)
 
     def test_json_fields(self, report):
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert set(data) == {
             "method",
             "population_size",

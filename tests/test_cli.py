@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -488,66 +489,71 @@ class TestFailureMatrix:
         for name, entries in self.REGISTRIES.items():
             (tmp_path / name).write_text(json.dumps(entries), encoding="utf-8")
 
-    @pytest.mark.parametrize(
-        "argv, code, err",
-        [
-            (["derive", "urn:epc:tag:xyz-96:1.2.3", "--ons", "::"], EXIT_PARSE,
-             "parse: UnknownSchemeError: unknown tag scheme 'xyz-96'"),
-            (["derive", "zzz", "--ons", "::"], EXIT_PARSE,
-             "parse: 'zzz' is neither a tag URI nor a number"),
-            (["derive", "0x1" + "0" * 64, "--ons", "::"], EXIT_PARSE,
-             f"parse: EPC value '0x1{'0' * 64}' outside 0..2^256"),
-            (["derive", "0x1", "--ons", "not-an-address"], EXIT_PARSE,
-             "parse: Ipv6TextError: At least 3 parts expected in 'not-an-address'"),
-            (["derive", "0x1", "--ons", "::", "--registry", "r.json"], EXIT_USAGE,
-             "usage: give exactly one of --ons and --registry"),
-            (["derive", "0x1"], EXIT_USAGE,
-             "usage: an ONS source is required: --ons, --registry, or config"),
-            (["derive", "0x1", "--registry", "nope.json"], EXIT_RESOLVE,
-             f"resolve: RegistryError: cannot read registry nope.json: {NO_FILE}: "
-             "'nope.json'"),
-            (["derive", "0x1", "--registry", "badpat.json"], EXIT_RESOLVE,
-             "resolve: RegistryError: pattern 'usdod-96' names unknown scheme 'usdod-96'"),
-            (["derive", "0x1", "--registry", "empty.json"], EXIT_RESOLVE,
-             "resolve: NoMatchError: no registry record matches raw EPC"),
-            (["derive", SGTIN_URI, "--ons", ONS_TEXT, "--method", "direct64"],
-             EXIT_DERIVE,
-             "derive: EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id"),
-            (["derive", GIAI_URI, "--ons", ONS_TEXT, "--method", "xor_pad"], EXIT_DERIVE,
-             "derive: MissingValueError: EPC has no numeric value to derive from"),
-            (["resolve", "0x1"], EXIT_USAGE,
-             "usage: --registry or a config registry_path is required"),
-            (["resolve", "urn:epc:tag:sgtin-96:3", "--registry", "r.json"], EXIT_PARSE,
-             "parse: TagUriError: sgtin-96 URI needs 4 fields, got 1: "
-             "'urn:epc:tag:sgtin-96:3'"),
-            (["resolve", "0x1234", "--registry", "empty.json"], EXIT_RESOLVE,
-             "resolve: NoMatchError: no registry record matches raw EPC"),
-            (["parse", "urn:epc:tag:sgtin-96:3"], EXIT_PARSE,
-             "parse: TagUriError: sgtin-96 URI needs 4 fields, got 1: "
-             "'urn:epc:tag:sgtin-96:3'"),
-            (["parse", "urn:epc:tag:xyz-96:1.2.3"], EXIT_PARSE,
-             "parse: UnknownSchemeError: unknown tag scheme 'xyz-96'"),
-            (["bench"], EXIT_USAGE,
-             "usage: --registry or a config registry_path is required"),
-            (["bench", "--registry", "nope.json"], EXIT_RESOLVE,
-             f"resolve: RegistryError: cannot read registry nope.json: {NO_FILE}: "
-             "'nope.json'"),
-            (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "3",
-              "--serial-width-bits", "1"], EXIT_USAGE,
-             "usage: population spec: cannot draw 3 distinct values from a 1-bit space"),
-            (["bench", "--registry", "rawonly.json", "--count", "10"], EXIT_RESOLVE,
-             "resolve: NoMatchError: no registry record matches sgtin-96 EPC "
-             "(epc=sgtin-96:0x3035521f39e37971d82c07cd)"),
-            (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "10",
-              "--out", "missing-dir/report.csv"], EXIT_USAGE,
-             f"output: FileNotFoundError: {NO_FILE}: 'missing-dir/report.csv'"),
-        ],
-    )
+    COMMAND_FAILURES = [
+        (["derive", "urn:epc:tag:xyz-96:1.2.3", "--ons", "::"], EXIT_PARSE,
+         "parse: UnknownSchemeError: unknown tag scheme 'xyz-96'"),
+        (["derive", "zzz", "--ons", "::"], EXIT_PARSE,
+         "parse: TagUriError: 'zzz' is neither a tag URI nor a number"),
+        (["derive", "0x1" + "0" * 64, "--ons", "::"], EXIT_PARSE,
+         f"parse: FieldRangeError: EPC value '0x1{'0' * 64}' outside 0..2^256"),
+        (["derive", "0x1", "--ons", "not-an-address"], EXIT_PARSE,
+         "parse: Ipv6TextError: At least 3 parts expected in 'not-an-address'"),
+        (["derive", "0x1", "--ons", "::", "--registry", "r.json"], EXIT_USAGE,
+         "usage: give exactly one of --ons and --registry"),
+        (["derive", "0x1"], EXIT_USAGE,
+         "usage: an ONS source is required: --ons, --registry, or config"),
+        (["derive", "0x1", "--registry", "nope.json"], EXIT_RESOLVE,
+         f"resolve: RegistryError: cannot read registry nope.json: {NO_FILE}: "
+         "'nope.json'"),
+        (["derive", "0x1", "--registry", "badpat.json"], EXIT_RESOLVE,
+         "resolve: RegistryError: pattern 'usdod-96' names unknown scheme 'usdod-96'"),
+        (["derive", "0x1", "--registry", "empty.json"], EXIT_RESOLVE,
+         "resolve: NoMatchError: no registry record matches raw EPC"),
+        (["derive", SGTIN_URI, "--ons", ONS_TEXT, "--method", "direct64"],
+         EXIT_DERIVE,
+         "derive: EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id"),
+        (["derive", GIAI_URI, "--ons", ONS_TEXT, "--method", "xor_pad"], EXIT_DERIVE,
+         "derive: MissingValueError: EPC has no numeric value to derive from"),
+        (["resolve", "0x1"], EXIT_USAGE,
+         "usage: --registry or a config registry_path is required"),
+        (["resolve", "urn:epc:tag:sgtin-96:3", "--registry", "r.json"], EXIT_PARSE,
+         "parse: TagUriError: sgtin-96 URI needs 4 fields, got 1: "
+         "'urn:epc:tag:sgtin-96:3'"),
+        (["resolve", "0x1234", "--registry", "empty.json"], EXIT_RESOLVE,
+         "resolve: NoMatchError: no registry record matches raw EPC"),
+        (["parse", "urn:epc:tag:sgtin-96:3"], EXIT_PARSE,
+         "parse: TagUriError: sgtin-96 URI needs 4 fields, got 1: "
+         "'urn:epc:tag:sgtin-96:3'"),
+        (["parse", "urn:epc:tag:xyz-96:1.2.3"], EXIT_PARSE,
+         "parse: UnknownSchemeError: unknown tag scheme 'xyz-96'"),
+        (["bench"], EXIT_USAGE,
+         "usage: --registry or a config registry_path is required"),
+        (["bench", "--registry", "nope.json"], EXIT_RESOLVE,
+         f"resolve: RegistryError: cannot read registry nope.json: {NO_FILE}: "
+         "'nope.json'"),
+        (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "3",
+          "--serial-width-bits", "1"], EXIT_USAGE,
+         "usage: population spec: cannot draw 3 distinct values from a 1-bit space"),
+        (["bench", "--registry", "rawonly.json", "--count", "10"], EXIT_RESOLVE,
+         "resolve: NoMatchError: no registry record matches sgtin-96 EPC "
+         "(epc=sgtin-96:0x3035521f39e37971d82c07cd)"),
+        (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "10",
+          "--out", "missing-dir/report.csv"], EXIT_USAGE,
+         f"output: FileNotFoundError: {NO_FILE}: 'missing-dir/report.csv'"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, err", COMMAND_FAILURES)
     def test_command_failure(self, capsys, argv, code, err):
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.err == err + "\n"
         assert captured.out == ""
+
+    def test_package_errors_name_their_type(self):
+        # exits 3..5 come from package errors, printed through the stage table
+        for argv, code, err in self.COMMAND_FAILURES:
+            if code in (EXIT_PARSE, EXIT_RESOLVE, EXIT_DERIVE):
+                assert re.match(r"(parse|resolve|derive): \w+Error: ", err), argv
 
     @pytest.mark.parametrize(
         "config, err",
@@ -627,13 +633,13 @@ class TestNumericEpcGrammar:
     def test_rejected(self, capsys, text):
         assert main(["derive", text, "--ons", "::"]) == EXIT_PARSE
         assert capsys.readouterr().err == (
-            f"parse: {text!r} is neither a tag URI nor a number\n"
+            f"parse: TagUriError: {text!r} is neither a tag URI nor a number\n"
         )
 
     def test_resolve_uses_the_same_grammar(self, capsys, wildcard_registry_path):
         argv = ["resolve", "1_0", "--registry", str(wildcard_registry_path)]
         assert main(argv) == EXIT_PARSE
-        assert capsys.readouterr().err.startswith("parse: '1_0' is neither")
+        assert capsys.readouterr().err.startswith("parse: TagUriError: '1_0' is neither")
 
 
 class TestSaltGrammar:

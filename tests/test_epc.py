@@ -14,6 +14,7 @@ from epc_ipv6 import (
 )
 from epc_ipv6.epc import SGTIN96_HEADER, SGTIN96_PARTITIONS, pack_sgtin96
 from epc_ipv6.errors import (
+    EpcIpv6Error,
     FieldRangeError,
     InvalidPartitionError,
     TagUriError,
@@ -236,6 +237,52 @@ class TestParseTagUri:
         with pytest.raises(FieldRangeError):
             parse_tag_uri(uri)
 
+    @pytest.mark.parametrize(
+        "scheme, rest, short_rest, needed",
+        [
+            ("sgtin-96", ".812345.6789", ".812345", 4),
+            ("giai-96", ".5", ".5.6", 3),
+            ("sgln-96", ".12345.400", ".12345", 4),
+        ],
+    )
+    def test_shared_shape_errors_per_scheme(self, scheme, rest, short_rest, needed):
+        # field count, filter and company-prefix length read alike in every scheme
+        def error_of(fields_text):
+            with pytest.raises(EpcIpv6Error) as info:
+                parse_tag_uri(f"urn:epc:tag:{scheme}:{fields_text}")
+            return type(info.value), str(info.value)
+
+        wrong = f"urn:epc:tag:{scheme}:3.0614141{short_rest}"
+        assert error_of(f"3.0614141{short_rest}") == (
+            TagUriError,
+            f"{scheme} URI needs {needed} fields, got {len(short_rest.split('.')) + 1}: "
+            f"{wrong!r}",
+        )
+        assert error_of(f"8.0614141{rest}") == (
+            FieldRangeError, "filter value 8 outside 0..7"
+        )
+        assert error_of(f"33.0614141{rest}") == (
+            FieldRangeError, "filter field '33' must be a single digit"
+        )
+        for company in ("06141", "0614141555555"):
+            assert error_of(f"3.{company}{rest}") == (
+                FieldRangeError, f"company prefix {company!r} must be 6..12 digits"
+            )
+
+    @pytest.mark.parametrize(
+        "uri, message",
+        [
+            ("urn:epc:tag:sgtin-96:3.0614141.81234.6789",
+             "item reference '81234' must be 6 digits for a 7-digit company prefix"),
+            ("urn:epc:tag:sgln-96:3.0614141.1234.400",
+             "location reference '1234' must be 5 digits for a 7-digit company prefix"),
+        ],
+    )
+    def test_reference_width_error(self, uri, message):
+        with pytest.raises(FieldRangeError) as info:
+            parse_tag_uri(uri)
+        assert (type(info.value), str(info.value)) == (FieldRangeError, message)
+
     def test_giai_serial_width_depends_on_partition(self):
         # 6-digit company -> 62-bit asset field, 12-digit -> 42 bits
         parse_tag_uri(f"urn:epc:tag:giai-96:0.061414.{2**62 - 1}")
@@ -329,6 +376,23 @@ class TestEpcInvariants:
         # a scheme given as text skipped every scheme-specific check, so a
         # "sgtin-96" value with a wrong header built and then broke resolve
         with pytest.raises(ValueError, match="scheme must be an EpcScheme"):
+            Epc(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (EpcScheme.RAW, 8, 1.5),
+            (EpcScheme.RAW, 8, True),
+            (EpcScheme.RAW, 8.0, 1),
+            (EpcScheme.SGTIN96, 96.0, None, 5),
+            (EpcScheme.GIAI96, 96, None, 5.0),
+            (EpcScheme.GIAI96, 96, None, 5, 5),
+            (EpcScheme.GIAI96, 96, None, 5, b"urn:epc:tag:giai-96:0.0614141.5"),
+        ],
+    )
+    def test_fields_must_be_int_or_str(self, args):
+        # such fields built, and derive or company_prefix_of failed on them later
+        with pytest.raises(ValueError, match="declared_bits must be an int"):
             Epc(*args)
 
     def test_raw_width_bounds(self):

@@ -146,6 +146,12 @@ class TestValueBounds:
         with pytest.raises(ValueError):
             Ipv6Address(-1)
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None])
+    def test_value_must_be_an_int(self, value):
+        # a float built and only failed later, in str(), with an AttributeError
+        with pytest.raises(ValueError, match="address value must be an int"):
+            Ipv6Address(value)
+
 
 class TestRoundTrip:
     @given(st.integers(min_value=0, max_value=2**128 - 1))

@@ -16,7 +16,7 @@ from collections.abc import Callable
 from enum import Enum
 from operator import or_, xor
 
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .epc import Epc, EpcScheme
 from .errors import (
     EpcTooWideError,
@@ -49,6 +49,12 @@ class DerivationPlan(Frozen):
     prefix_bits: int
 
     def __init__(self, source: PayloadSource, input_bits: int, prefix_bits: int):
+        if (source.__class__ is not PayloadSource
+                or not input_bits.__class__ is prefix_bits.__class__ is int):
+            raise ValueError(
+                "source must be a PayloadSource and the bit counts ints; "
+                f"got {source!r}, {input_bits!r}, {prefix_bits!r}"
+            )
         if not 1 <= input_bits <= IPV6_BITS:
             raise ValueError(f"input_bits {input_bits} outside 1..{IPV6_BITS}")
         if input_bits + prefix_bits != IPV6_BITS:
@@ -56,9 +62,7 @@ class DerivationPlan(Frozen):
                 f"input_bits {input_bits} + prefix_bits {prefix_bits} "
                 f"must equal {IPV6_BITS}"
             )
-        setfield(self, "source", source)
-        setfield(self, "input_bits", input_bits)
-        setfield(self, "prefix_bits", prefix_bits)
+        self._store(source, input_bits, prefix_bits)
 
 
 class AddressingMethodId(str, Enum):
@@ -109,10 +113,10 @@ def _hybrid_step(epc: Epc) -> tuple[int, int]:
 def plan(epc: Epc) -> DerivationPlan:
     """Bit-budget split of the hybrid method for this EPC: n is the minimal
     binary width of the chosen value, not the declared width of the scheme."""
-    _, n = _hybrid_step(epc)
+    _, n = _hybrid_step(epc)  # 1 <= n <= 128
     full = _takes_full_epc(epc)
     source = PayloadSource.FULL_EPC if full else PayloadSource.SERIAL_NUMBER
-    return DerivationPlan(source=source, input_bits=n, prefix_bits=IPV6_BITS - n)
+    return DerivationPlan._trusted(source, n, IPV6_BITS - n)
 
 
 def _direct64_step(epc: Epc) -> tuple[int, int]:

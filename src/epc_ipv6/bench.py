@@ -194,7 +194,7 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
 
     if spec.scheme is EpcScheme.RAW:
         # a raw code is its own serial number; width is 1..64
-        return [trusted(EpcScheme.RAW, width, v, v) for v in serials]
+        return [trusted(EpcScheme.RAW, width, v, v, None) for v in serials]
     if spec.scheme is EpcScheme.SGTIN96:
         randrange = rng.randrange
         # per partition: draw bounds of the company prefix and item reference
@@ -208,11 +208,11 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
             value = pack_sgtin96(
                 randrange(8), partition, randrange(company_bound), randrange(item_bound), serial
             )
-            population.append(trusted(EpcScheme.SGTIN96, 96, value, serial))
+            population.append(trusted(EpcScheme.SGTIN96, 96, value, serial, None))
         return population
     # serial-only schemes: no binary codec, the serial is all that matters;
     # width is at most the scheme's serial field
-    return [trusted(spec.scheme, 96, None, serial) for serial in serials]
+    return [trusted(spec.scheme, 96, None, serial, None) for serial in serials]
 
 
 def evaluate(
@@ -224,13 +224,14 @@ def evaluate(
 ) -> BenchReport:
     """Derive one address per EPC and report collisions, hierarchy, timing.
 
-    This is :func:`compare` of one method. EPCs that derived the same
+    This is :func:`compare` of one method, which stops at the first failure
+    rather than count them all. EPCs that derived the same
     address form one collision group; the shared-prefix histogram counts,
     per EPC, how many leading bits the derived address shares with that
     EPC's resolved ONS address. A derivation failure raises
     :class:`EvaluationError` naming the first EPC that failed.
     """
-    (row,) = compare([method], population, registry, salt, standard)
+    (row,) = _compare([method], population, registry, salt, standard, count=False)
     if isinstance(row, NotApplicable):
         raise EvaluationError("derive", row.first_epc, row.first_error)
     return row
@@ -250,6 +251,10 @@ def compare(
     failure applies to every method, so it raises :class:`EvaluationError`.
     A method whose derivations fail is reported as :class:`NotApplicable`.
     """
+    return _compare(methods, population, registry, salt, standard, count=True)
+
+
+def _compare(methods, population, registry, salt, standard, count: bool):
     if not population:
         raise ValueError("population must not be empty")
     bound = [(method, integer_kernel(method, salt=salt, standard=standard)) for method in methods]
@@ -259,13 +264,15 @@ def compare(
             ons_values.append(resolve(registry, epc).value)
         except EpcIpv6Error as exc:
             raise EvaluationError("resolve", epc, f"{type(exc).__name__}: {exc}") from exc
-    return [_measure(method, kernel, population, ons_values) for method, kernel in bound]
+    return [_measure(method, kernel, population, ons_values, count) for method, kernel in bound]
 
 
 def _measure(
-    method: AddressingMethodId, kernel, population: list[Epc], ons_values: list[int]
+    method: AddressingMethodId, kernel, population: list[Epc], ons_values: list[int],
+    count: bool,
 ) -> BenchReport | NotApplicable:
-    """One method's report over resolved ONS values, or its failures.
+    """One method's report over resolved ONS values, or its failures: all of
+    them counted, or only the first when ``count`` is false.
 
     Only the derivations are timed, one clock pair per chunk of
     ``DERIVE_CHUNK``. They run on the method's integer kernel, so an
@@ -289,16 +296,19 @@ def _measure(
             chunk_means.append(elapsed / len(epcs))
             values += chunk
     except DerivationError:
-        # a chunk does not say which call failed: one pass counts them all
+        # a chunk does not say which call failed: one pass from its start finds
+        # it, and counts the rest when the caller reports the counts
         failures: Counter[str] = Counter()
         first = None
-        for epc, ons in zip(population, ons_values):
+        for epc, ons in zip(population[lo:], ons_values[lo:]):
             try:
                 kernel(epc, ons)
             except DerivationError as error:
                 failures[type(error).__name__] += 1
                 if first is None:
                     first = (epc, f"{type(error).__name__}: {error}")
+                    if not count:
+                        break
         return NotApplicable(method, len(population), dict(sorted(failures.items())), *first)
     finally:
         if gc_was_enabled:
@@ -313,7 +323,7 @@ def _measure(
             if value in members:
                 members[value].append(epc)
         collision_groups = tuple(
-            (Ipv6Address(value), tuple(epcs)) for value, epcs in members.items()
+            (Ipv6Address._trusted(value), tuple(epcs)) for value, epcs in members.items()
         )
 
     # an address shares 128 - k leading bits with its ONS address when

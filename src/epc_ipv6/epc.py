@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .errors import (
     FieldRangeError,
     InvalidPartitionError,
@@ -107,6 +107,13 @@ class Sgtin96Fields(Frozen):
         item_reference: int,
         serial: int,
     ):
+        # a float or bool field would build and then fail in encode_sgtin96
+        if not (filter_value.__class__ is partition.__class__ is company_prefix.__class__
+                is item_reference.__class__ is serial.__class__ is int):
+            raise ValueError(
+                f"SGTIN-96 fields must be ints, got {filter_value!r}, {partition!r}, "
+                f"{company_prefix!r}, {item_reference!r}, {serial!r}"
+            )
         if not 0 <= filter_value <= 7:
             raise FieldRangeError(f"filter value {filter_value} outside 0..7")
         if partition not in SGTIN96_PARTITIONS:
@@ -124,11 +131,7 @@ class Sgtin96Fields(Frozen):
             raise FieldRangeError(
                 f"serial {serial} overflows {SGTIN96_SERIAL_BITS} bits"
             )
-        setfield(self, "filter_value", filter_value)
-        setfield(self, "partition", partition)
-        setfield(self, "company_prefix", company_prefix)
-        setfield(self, "item_reference", item_reference)
-        setfield(self, "serial", serial)
+        self._store(filter_value, partition, company_prefix, item_reference, serial)
 
     @property
     def company_digits(self) -> int:
@@ -205,22 +208,7 @@ class Epc(Frozen):
                     f"serial {serial_number} is not the serial field "
                     f"of value {value:#x}"
                 )
-        setfield(self, "scheme", scheme)
-        setfield(self, "declared_bits", declared_bits)
-        setfield(self, "value", value)
-        setfield(self, "serial_number", serial_number)
-        setfield(self, "uri", uri)
-
-    @classmethod
-    def _trusted(cls, scheme, declared_bits, value, serial_number, uri=None) -> Epc:
-        """An Epc from fields the caller proved valid, built without any check."""
-        self = object.__new__(cls)
-        setfield(self, "scheme", scheme)
-        setfield(self, "declared_bits", declared_bits)
-        setfield(self, "value", value)
-        setfield(self, "serial_number", serial_number)
-        setfield(self, "uri", uri)
-        return self
+        self._store(scheme, declared_bits, value, serial_number, uri)
 
     def _label(self) -> str:
         """How reports and errors name an EPC: its URI, else ``scheme:0x<value>``,
@@ -295,12 +283,10 @@ def decode_sgtin96(value: int) -> Sgtin96Fields:
     if not 0 <= value < 1 << 96:
         raise FieldRangeError(f"value {value:#x} does not fit 96 bits")
     partition, company_prefix, item_reference = _check_sgtin96(value)
-    return Sgtin96Fields(
-        filter_value=(value >> 85) & 0x7,
-        partition=partition,
-        company_prefix=company_prefix,
-        item_reference=item_reference,
-        serial=value & _SGTIN96_SERIAL_MASK,
+    # the row's digit counts, just checked, are stricter than the fields' bit widths
+    return Sgtin96Fields._trusted(
+        (value >> 85) & 0x7, partition, company_prefix, item_reference,
+        value & _SGTIN96_SERIAL_MASK,
     )
 
 

@@ -13,7 +13,7 @@ import ipaddress
 import struct
 from functools import total_ordering
 
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .errors import Ipv6TextError
 
 _GROUPS = struct.Struct(">8H").unpack
@@ -37,7 +37,7 @@ class Ipv6Address(Frozen):
             raise ValueError(f"address value must be an int, got {value!r}")
         if not 0 <= value < _ADDRESS_LIMIT:
             raise ValueError(f"address value {value:#x} does not fit 128 bits")
-        setfield(self, "value", value)
+        self._store(value)
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -55,7 +55,8 @@ def parse_ipv6(text: str) -> Ipv6Address:
     if "%" in text:
         raise Ipv6TextError(f"zone identifiers are not addresses: {text!r}")
     try:
-        return Ipv6Address(int(ipaddress.IPv6Address(text)))
+        # ipaddress yields a value below 2**128
+        return Ipv6Address._trusted(int(ipaddress.IPv6Address(text)))
     except ipaddress.AddressValueError as exc:
         raise Ipv6TextError(str(exc)) from None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .epc import Epc, EpcScheme, company_prefix_of
 from .errors import DuplicatePatternError, Ipv6TextError, NoMatchError, RegistryError
 from .ipv6 import Ipv6Address, parse_ipv6
@@ -56,9 +56,13 @@ class OnsRecord(Frozen):
     key: PatternKey
 
     def __init__(self, pattern: str, ons_ip: Ipv6Address):
-        setfield(self, "pattern", pattern)
-        setfield(self, "ons_ip", ons_ip)
-        setfield(self, "key", _parse_pattern(pattern))
+        # address text in place of an Ipv6Address would build, and resolve
+        # would then return the text
+        if pattern.__class__ is not str or ons_ip.__class__ is not Ipv6Address:
+            raise ValueError(
+                f"pattern must be a str and ons_ip an Ipv6Address; got {pattern!r}, {ons_ip!r}"
+            )
+        self._store(pattern, ons_ip, _parse_pattern(pattern))
 
 
 class OnsRegistry(Frozen):
@@ -71,15 +75,15 @@ class OnsRegistry(Frozen):
     def __init__(self, records: tuple[OnsRecord, ...]):
         index: dict[PatternKey, Ipv6Address] = {}
         for record in records:
+            if record.__class__ is not OnsRecord:
+                raise ValueError(f"registry records must be OnsRecords, got {record!r}")
             if record.key in index:
                 raise DuplicatePatternError(f"duplicate pattern {record.pattern!r}")
             index[record.key] = record.ons_ip
         # fewer None positions is more specific; the sort keeps input order on ties
         records = sorted(records, key=lambda record: record.key.count(None))
-        setfield(self, "records", tuple(records))
-        setfield(self, "_index", index)
-        # only these schemes make resolve look up a company prefix
-        setfield(self, "_company_schemes", {s for s, c in index if c})
+        # the last slot holds the schemes that make resolve look up a company prefix
+        self._store(tuple(records), index, {s for s, c in index if c})
 
     def resolve(self, epc: Epc) -> Ipv6Address:
         return resolve(self, epc)

@@ -1,8 +1,13 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from epc_ipv6 import Ipv6Address, parse_ipv6
+
+# CI runs the properties that back every unchecked build with
+# --hypothesis-profile ci; a local run keeps Hypothesis's default budget
+settings.register_profile("ci", max_examples=1000)
 
 # ONS address used throughout: high bits seed every derived address
 ONS_TEXT = "3ffe:ffff:4004:1952:0:7251:bc9b:a73f"

@@ -23,6 +23,7 @@ from epc_ipv6 import (
     resolve,
 )
 from epc_ipv6 import bench
+from epc_ipv6.addressing import integer_kernel
 from epc_ipv6.bench import CSV_HEADER, NotApplicable, compare
 from epc_ipv6.errors import EvaluationError, InvalidOptionError, UnsatisfiableSpecError
 
@@ -316,6 +317,29 @@ class TestCompare:
             "EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id",
         )
         assert row.first_epc is population[2500]
+
+    def test_evaluate_stops_at_the_first_failure(self, monkeypatch, wildcard_registry):
+        calls = 0
+
+        def counting_kernel(*args, **kwargs):
+            kernel = integer_kernel(*args, **kwargs)
+
+            def counted(epc, ons):
+                nonlocal calls
+                calls += 1
+                return kernel(epc, ons)
+
+            return counted
+
+        monkeypatch.setattr(bench, "integer_kernel", counting_kernel)
+        population = generate_population(
+            PopulationSpec(scheme=EpcScheme.SGTIN96, count=2000, seed=5)
+        )
+        with pytest.raises(EvaluationError):
+            evaluate(AddressingMethodId.DIRECT64, population, wildcard_registry)
+        assert calls <= 4  # the first EPC fails: no pass over the rest
+        (row,) = compare([AddressingMethodId.DIRECT64], population, wildcard_registry)
+        assert row.failures == {"EpcTooWideError": 2000}
 
     def test_evaluate_names_the_error_type_and_the_epc_label(self, wildcard_registry):
         epc = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=5678)

@@ -1,17 +1,30 @@
-"""EPCs built without the constructor's checks are ones it would accept.
+"""Values built without the constructor's checks are ones it would accept.
 
-Tag URI parsers build their ``Epc`` values unchecked once every field has
-been checked; the public constructor must accept each such value as is,
-and pickle and copy, which rebuild through it, must give it back equal.
+Tag URI parsers, ``decode_sgtin96``, ``plan`` and ``parse_ipv6`` build their
+values unchecked once every field has been proven valid; the public
+constructor must accept each such value as is, and pickle and copy, which
+rebuild through it, must give it back equal.
 """
 
 import copy
+import ipaddress
 import pickle
 
 from hypothesis import given, strategies as st
 
-from epc_ipv6 import Epc, EpcScheme, parse_tag_uri
-from epc_ipv6.epc import SGTIN96_PARTITIONS
+from epc_ipv6 import (
+    DerivationPlan,
+    Epc,
+    EpcScheme,
+    Ipv6Address,
+    Sgtin96Fields,
+    decode_sgtin96,
+    encode_sgtin96,
+    parse_ipv6,
+    parse_tag_uri,
+    plan,
+)
+from epc_ipv6.epc import SGTIN96_PARTITIONS, pack_sgtin96
 
 
 @st.composite
@@ -42,3 +55,47 @@ def test_parsed_uri_round_trips(uri):
     assert Epc(*epc._astuple()) == epc
     assert pickle.loads(pickle.dumps(epc)) == epc
     assert copy.copy(epc) == epc
+
+
+@st.composite
+def sgtin96_values(draw):
+    """A 96-bit SGTIN-96 value whose fields fit the digit counts of its partition."""
+    partition = draw(st.integers(0, 6))
+    _, company_digits, _, item_digits = SGTIN96_PARTITIONS[partition]
+    return pack_sgtin96(
+        draw(st.integers(0, 7)), partition, draw(st.integers(0, 10**company_digits - 1)),
+        draw(st.integers(0, 10**item_digits - 1)), draw(st.integers(0, 2**38 - 1)),
+    )
+
+
+@given(sgtin96_values())
+def test_decoded_fields_rebuild_equal(value):
+    fields = decode_sgtin96(value)
+    assert type(fields) is Sgtin96Fields
+    assert Sgtin96Fields(*fields._astuple()) == fields
+    assert encode_sgtin96(fields) == value
+
+
+# raw EPCs up to 128 bits, so every payload width 1..128 is planned
+RAW_EPCS = st.integers(1, 128).flatmap(
+    lambda width: st.integers(0, 2**width - 1).map(
+        lambda value: Epc(EpcScheme.RAW, width, value, value)
+    )
+)
+
+
+@given(st.one_of(tag_uris().map(parse_tag_uri), RAW_EPCS))
+def test_plan_rebuilds_equal(epc):
+    derivation_plan = plan(epc)
+    assert type(derivation_plan) is DerivationPlan
+    assert DerivationPlan(*derivation_plan._astuple()) == derivation_plan
+    assert pickle.loads(pickle.dumps(derivation_plan)) == derivation_plan
+
+
+@given(st.integers(0, 2**128 - 1), st.booleans())
+def test_parsed_address_rebuilds_equal(value, exploded):
+    stdlib = ipaddress.IPv6Address(value)
+    address = parse_ipv6(stdlib.exploded if exploded else str(stdlib))
+    assert type(address) is Ipv6Address and address.value == value
+    assert Ipv6Address(*address._astuple()) == address
+    assert copy.copy(address) == address

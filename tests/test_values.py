@@ -185,6 +185,68 @@ def test_ipv6_addresses_order_by_value():
         low < 2  # noqa: B015
 
 
+# each built at first and failed later, far from the constructor: encode_sgtin96
+# raised TypeError, _parse_pattern or resolve AttributeError, resolve returned
+# the text "::1" as an address, and a plan carried floats or a plain string
+WRONG_CLASS = {
+    "float partition": (Sgtin96Fields, (3, 5.0, 614141, 812345, 6789)),
+    "float company prefix": (Sgtin96Fields, (3, 5, 614141.0, 812345, 6789)),
+    "bool filter": (Sgtin96Fields, (True, 5, 614141, 812345, 6789)),
+    "int pattern": (OnsRecord, (5, ONS)),
+    "text ons_ip": (OnsRecord, ("*", "::1")),
+    "int records": (OnsRegistry, ((1, 2),)),
+    "float bits": (DerivationPlan, (PayloadSource.FULL_EPC, 64.0, 64.0)),
+    "float prefix bits": (DerivationPlan, (PayloadSource.FULL_EPC, 64, 64.0)),
+    "text source": (DerivationPlan, ("full_epc", 64, 64)),
+}
+
+
+@pytest.mark.parametrize("cls, args", WRONG_CLASS.values(), ids=list(WRONG_CLASS))
+def test_fields_of_the_wrong_class_are_refused(cls, args):
+    with pytest.raises(ValueError) as excinfo:
+        cls(*args)
+    assert type(excinfo.value) is ValueError
+
+
+class PlainEpc(Epc):
+    pass
+
+
+class SlottedEpc(Epc):
+    __slots__ = ()
+
+
+class TaggedEpc(Epc):
+    # a slot of its own, left unset: the inherited __init__ still stores Epc's fields
+    __slots__ = ("tag",)
+
+
+class PlainAddress(Ipv6Address):
+    pass
+
+
+class SlottedAddress(Ipv6Address):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("cls, args", [
+    (PlainEpc, (EpcScheme.GIAI96, 96, None, 5)),
+    (SlottedEpc, (EpcScheme.RAW, 8, 5, 5)),
+    (TaggedEpc, (EpcScheme.SGTIN96, 96, None, 5)),
+    (PlainAddress, (7,)),
+    (SlottedAddress, (7,)),
+])
+def test_user_subclasses_build_compare_and_pickle(cls, args):
+    value = cls(*args)
+    assert value._astuple()[:len(args)] == args
+    assert value == cls(*args) and hash(value) == hash(cls(*args))
+    assert value != cls.__mro__[1](*args)  # never equal to a value of another class
+    for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(restored) is cls and restored == value
+    with pytest.raises(AttributeError):
+        value.value = 8
+
+
 def _field_names(value):
     return {
         Epc: ("scheme", "declared_bits", "value", "serial_number", "uri"),

@@ -84,26 +84,20 @@ class TagStandard(str, Enum):
 
 
 def _takes_full_epc(epc: Epc) -> bool:
-    """Hybrid branch rule: the payload is the full value of EPCs up to 64 bits
-    wide (raw ones judged by their value's width), else the serial number."""
-    if epc.scheme is _RAW and epc.value is not None:
-        return epc.value.bit_length() <= IID_BITS
-    return epc.declared_bits <= IID_BITS
+    """Hybrid branch rule: the payload is the full value of a raw EPC whose
+    value is at most 64 bits wide, else the serial number. ``Epc`` makes
+    every other scheme 96 bits wide and gives every raw EPC a value."""
+    return epc.scheme is _RAW and epc.value.bit_length() <= IID_BITS
 
 
 # payload steps: epc -> (payload, n); a baseline's payload is its interface id
 def _hybrid_step(epc: Epc) -> tuple[int, int]:
     """The hybrid payload and its minimal binary width n, 1 for zero."""
-    if _takes_full_epc(epc):
-        payload = epc.value
-        if payload is None:
-            raise MissingValueError("EPC has no numeric value to derive from")
-    else:
-        payload = epc.serial_number
-        if payload is None:
-            raise MissingSerialError(
-                f"{epc.declared_bits}-bit EPC needs a serial number for derivation"
-            )
+    payload = epc.value if _takes_full_epc(epc) else epc.serial_number
+    if payload is None:  # only a serial number can be absent
+        raise MissingSerialError(
+            f"{epc.declared_bits}-bit EPC needs a serial number for derivation"
+        )
     n = payload.bit_length() or 1
     if n > IPV6_BITS:
         raise SerialTooWideError(f"{n}-bit payload exceeds the {IPV6_BITS}-bit address")
@@ -120,12 +114,11 @@ def plan(epc: Epc) -> DerivationPlan:
 
 
 def _direct64_step(epc: Epc) -> tuple[int, int]:
+    # only a raw EPC is this narrow, and a raw EPC always has a value
     if epc.declared_bits > IID_BITS:
         raise EpcTooWideError(
             f"{epc.declared_bits}-bit EPC does not fit a {IID_BITS}-bit interface id"
         )
-    if epc.value is None:
-        raise MissingValueError("EPC has no numeric value to derive from")
     return epc.value, IID_BITS
 
 

@@ -106,9 +106,17 @@ def load_config() -> CliConfig:
 
 
 def _number(text: str) -> int | None:
-    """0x/0X and ASCII hex digits, or ASCII decimal digits, as an int; else None."""
+    """0x/0X and ASCII hex digits, or ASCII decimal digits, as an int; else None.
+
+    A number of more than 78 significant digits is at least 10**78 > 2**256,
+    past every bound, and reads as 2**256 without int(): int() refuses a
+    decimal past 4300 digits, and is quadratic where that limit is off.
+    """
     digits, base = (text[2:], 16) if text[:2] in ("0x", "0X") else (text, 10)
-    return int(digits, base) if digits and _DIGITS[base].issuperset(digits) else None
+    if not digits or not _DIGITS[base].issuperset(digits):
+        return None
+    significant = digits.lstrip("0") or "0"  # int() counts leading zeros too
+    return int(significant, base) if len(significant) <= 78 else 1 << 256
 
 
 def _epc_from_arg(text: str) -> Epc:

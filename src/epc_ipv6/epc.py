@@ -201,13 +201,11 @@ class Epc(Frozen):
                 f"serial {serial_number} overflows the "
                 f"{max_serial_bits}-bit serial field of {scheme.value}"
             )
-        if scheme is EpcScheme.SGTIN96 and value is not None:
-            _check_sgtin96(value)
-            if serial_number != value & _SGTIN96_SERIAL_MASK:
-                raise ValueError(
-                    f"serial {serial_number} is not the serial field "
-                    f"of value {value:#x}"
-                )
+        if (scheme is EpcScheme.SGTIN96 and value is not None
+                and decode_sgtin96(value).serial != serial_number):
+            raise ValueError(
+                f"serial {serial_number} is not the serial field of value {value:#x}"
+            )
         self._store(scheme, declared_bits, value, serial_number, uri)
 
     def _label(self) -> str:
@@ -218,33 +216,6 @@ class Epc(Frozen):
         if self.value is not None:
             return f"{self.scheme.value}:{self.value:#x}"
         return f"{self.scheme.value}:serial={self.serial_number}"
-
-
-def _check_sgtin96(value: int) -> tuple[int, int, int]:
-    """Partition, company prefix and item reference of a 96-bit SGTIN-96 value.
-
-    Raises unless the header is 0x30, the partition is 0..6 and both fields
-    fit the digit counts of their partition row, as the GS1 Tag Data
-    Standard requires of a value with a tag URI form.
-    """
-    header = value >> 88
-    if header != SGTIN96_HEADER:
-        raise WrongHeaderError(
-            f"header {header:#04x} is not the SGTIN-96 header {SGTIN96_HEADER:#04x}"
-        )
-    partition = (value >> 82) & 0x7
-    row = SGTIN96_PARTITIONS.get(partition)
-    if row is None:
-        raise InvalidPartitionError(f"partition {partition} outside 0..6")
-    company_bits, company_digits, item_bits, item_digits = row
-    company_prefix = (value >> (38 + item_bits)) & ((1 << company_bits) - 1)
-    item_reference = (value >> 38) & ((1 << item_bits) - 1)
-    if company_prefix >= 10**company_digits or item_reference >= 10**item_digits:
-        raise FieldRangeError(
-            f"company prefix {company_prefix} or item reference {item_reference} "
-            f"has more digits than partition {partition} allows"
-        )
-    return partition, company_prefix, item_reference
 
 
 def pack_sgtin96(
@@ -279,10 +250,31 @@ def encode_sgtin96(fields: Sgtin96Fields) -> int:
 
 
 def decode_sgtin96(value: int) -> Sgtin96Fields:
-    """Inverse of :func:`encode_sgtin96` on values that have a tag URI form."""
+    """Inverse of :func:`encode_sgtin96` on values that have a tag URI form.
+
+    Raises unless the value fits 96 bits, the header is 0x30, the partition
+    is 0..6 and both fields fit the digit counts of their partition row, as
+    the GS1 Tag Data Standard requires of a value with a tag URI form.
+    """
     if not 0 <= value < 1 << 96:
         raise FieldRangeError(f"value {value:#x} does not fit 96 bits")
-    partition, company_prefix, item_reference = _check_sgtin96(value)
+    header = value >> 88
+    if header != SGTIN96_HEADER:
+        raise WrongHeaderError(
+            f"header {header:#04x} is not the SGTIN-96 header {SGTIN96_HEADER:#04x}"
+        )
+    partition = (value >> 82) & 0x7
+    row = SGTIN96_PARTITIONS.get(partition)
+    if row is None:
+        raise InvalidPartitionError(f"partition {partition} outside 0..6")
+    company_bits, company_digits, item_bits, item_digits = row
+    company_prefix = (value >> (38 + item_bits)) & ((1 << company_bits) - 1)
+    item_reference = (value >> 38) & ((1 << item_bits) - 1)
+    if company_prefix >= 10**company_digits or item_reference >= 10**item_digits:
+        raise FieldRangeError(
+            f"company prefix {company_prefix} or item reference {item_reference} "
+            f"has more digits than partition {partition} allows"
+        )
     # the row's digit counts, just checked, are stricter than the fields' bit widths
     return Sgtin96Fields._trusted(
         (value >> 85) & 0x7, partition, company_prefix, item_reference,
@@ -332,9 +324,10 @@ def _parse_serial(field: str, max_bits: int) -> int:
     # serials are plain numbers: no leading zeros in the URI form
     if not field or (len(field) > 1 and field[0] == "0"):
         raise FieldRangeError(f"serial field {field!r} must be a plain decimal number")
-    serial = int(field)
-    if serial >= 1 << max_bits:
-        raise FieldRangeError(f"serial {serial} overflows {max_bits} bits")
+    # a field of more than max_bits digits is at least 10**max_bits, so int() never
+    # reads a long one: it refuses text past 4300 digits, and is quadratic without that limit
+    if len(field) > max_bits or (serial := int(field)) >= 1 << max_bits:
+        raise FieldRangeError(f"serial {field} overflows {max_bits} bits")
     return serial
 
 

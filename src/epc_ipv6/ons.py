@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 
 from ._frozen import Frozen
 from .epc import Epc, EpcScheme, company_prefix_of
@@ -72,7 +73,8 @@ class OnsRegistry(Frozen):
     __slots__ = _fields + ("_index", "_company_schemes")
     records: tuple[OnsRecord, ...]
 
-    def __init__(self, records: tuple[OnsRecord, ...]):
+    def __init__(self, records: Iterable[OnsRecord]):
+        records = tuple(records)  # read once: an iterator is empty on a second pass
         index: dict[PatternKey, Ipv6Address] = {}
         for record in records:
             if record.__class__ is not OnsRecord:
@@ -96,9 +98,10 @@ def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
             text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read registry {path}: {exc}") from exc
+    # ValueError: not JSON (JSONDecodeError), or a number past int()'s digit limit
     try:
         entries = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise RegistryError(f"registry {path} nests too deeply to load: {exc}") from exc
@@ -120,7 +123,7 @@ def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
         except Ipv6TextError as exc:
             raise RegistryError(f"registry entry {i}: {exc}") from exc
         records.append(OnsRecord(pattern=pattern, ons_ip=ons_ip))
-    return OnsRegistry(records=tuple(records))
+    return OnsRegistry(records)
 
 
 def resolve(registry: OnsRegistry, epc: Epc) -> Ipv6Address:

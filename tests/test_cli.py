@@ -585,6 +585,8 @@ class TestFailureMatrix:
 UNDECODABLE = {
     "not-utf8": b"\xff\xfe[]",
     "nested-past-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
+    # int() refuses a decimal of more than 4300 digits, and json.loads uses it
+    "number-past-int-digit-limit": b"[" + b"1" * 5000 + b"]",
 }
 
 
@@ -611,6 +613,64 @@ class TestUndecodableFiles:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
         assert main(["derive", "0x1", "--ons", "::"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"config: cannot load {config}: ")
+
+
+LONG = "9" * 5000  # past int()'s default limit of 4300 decimal digits
+
+
+class TestOverlongNumbers:
+    """A number past int()'s digit limit is a range error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["derive", f"urn:epc:tag:sgtin-96:3.0614141.812345.{LONG}", "--ons", "::"],
+             f"serial {LONG} overflows 38 bits"),
+            (["parse", f"urn:epc:tag:giai-96:3.0614141.{LONG}"],
+             f"serial {LONG} overflows 58 bits"),
+            (["resolve", f"urn:epc:tag:sgln-96:3.0614141.12345.{'1' * 5000}",
+              "--registry", "r.json"],
+             f"serial {'1' * 5000} overflows 41 bits"),
+            (["derive", LONG, "--ons", "::"], f"EPC value '{LONG}' outside 0..2^256"),
+            (["derive", "0x" + "f" * 5000, "--ons", "::"],
+             f"EPC value '0x{'f' * 5000}' outside 0..2^256"),
+        ],
+        ids=["derive-sgtin-serial", "parse-giai-serial", "resolve-sgln-serial",
+             "derive-decimal", "derive-hex"],
+    )
+    def test_parse_error(self, capsys, wildcard_registry_path, argv, err):
+        argv = [str(wildcard_registry_path) if arg == "r.json" else arg for arg in argv]
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"parse: FieldRangeError: {err}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, address",
+        [("0" * 5000 + "31", "::1f"), ("0x" + "0" * 5000 + "1f", "::1f"),
+         ("0" * 5000 + str(2**64 - 1), "::ffff:ffff:ffff:ffff")],
+        ids=["decimal", "hex", "decimal-2^64-1"],
+    )
+    def test_leading_zeros_are_not_counted(self, capsys, text, address):
+        assert main(["derive", text, "--ons", "::"]) == EXIT_OK
+        assert capsys.readouterr().out == address + "\n"
+
+    def test_2_to_256_is_the_bound(self, capsys, wildcard_registry_path):
+        # both have 78 digits, the most that int() is given
+        registry = str(wildcard_registry_path)
+        assert main(["resolve", str(2**256 - 1), "--registry", registry]) == EXIT_OK
+        assert main(["resolve", str(2**256), "--registry", registry]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"parse: FieldRangeError: EPC value '{2**256}' outside 0..2^256\n"
+        )
+
+    @pytest.mark.parametrize("text", [LONG, "0" * 5000 + "1" + "0" * 64],
+                             ids=["5000-nines", "leading-zeros-10^64"])
+    def test_salt(self, capsys, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["derive", "0x1", "--ons", "::", "--method", "xor_pad", "--salt", text])
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"salt {text!r} does not fit 64 bits" in capsys.readouterr().err
 
 
 class TestNumericEpcGrammar:

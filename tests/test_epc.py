@@ -292,6 +292,22 @@ class TestParseTagUri:
         with pytest.raises(FieldRangeError):
             parse_tag_uri(f"urn:epc:tag:giai-96:0.061414155555.{2**42}")
 
+    @pytest.mark.parametrize(
+        "prefix, bits",
+        [
+            ("urn:epc:tag:sgtin-96:3.0614141.812345.", 38),
+            ("urn:epc:tag:giai-96:3.0614141.", 58),
+            ("urn:epc:tag:sgln-96:3.0614141.12345.", 41),
+        ],
+        ids=["sgtin-96", "giai-96", "sgln-96"],
+    )
+    @pytest.mark.parametrize("serial", ["9" * 5000, "1" * 4301], ids=["5000-nines", "4301-ones"])
+    def test_long_serial_overflows(self, prefix, bits, serial):
+        # int() refuses text past 4300 digits, so these must overflow without it
+        with pytest.raises(FieldRangeError) as info:
+            parse_tag_uri(prefix + serial)
+        assert str(info.value) == f"serial {serial} overflows {bits} bits"
+
 
 class TestRenderTagUri:
     def test_parse_render_identity_on_example(self):
@@ -317,7 +333,31 @@ class TestRenderTagUri:
             render_tag_uri(raw)
 
 
+@st.composite
+def near_sgtin96_values(draw):
+    """Values below 2**96 around the SGTIN-96 layout: those of sgtin96_values,
+    at times with another header byte or partition 7."""
+    value = draw(sgtin96_values())
+    if draw(st.booleans()):
+        value |= 7 << 82
+    header = draw(st.just(SGTIN96_HEADER) | st.integers(0, 255))
+    return value & ~(0xFF << 88) | header << 88
+
+
 class TestEpcInvariants:
+    @given(near_sgtin96_values())
+    def test_sgtin_value_checked_as_decode_checks_it(self, value):
+        serial = value & (2**38 - 1)
+        try:
+            fields = decode_sgtin96(value)
+        except EpcIpv6Error as exc:
+            with pytest.raises(EpcIpv6Error) as info:
+                Epc(EpcScheme.SGTIN96, 96, value, serial)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        else:
+            expected = Epc(EpcScheme.SGTIN96, 96, encode_sgtin96(fields), fields.serial)
+            assert Epc(EpcScheme.SGTIN96, 96, value, serial) == expected
+
     def test_value_must_fit_declared_bits(self):
         with pytest.raises(ValueError):
             Epc(scheme=EpcScheme.RAW, declared_bits=8, value=256)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -220,6 +223,20 @@ class TestOrdering:
     def test_duplicate_detected_on_construction(self):
         with pytest.raises(DuplicatePatternError):
             OnsRegistry(records=(record("*", A), record("*", B)))
+
+    def test_records_from_a_generator(self, sgtin_epc, raw):
+        # a generator can be read once: `records`, the index, pickle and copy
+        # must all see every record
+        records = (record("*", B), record("sgtin-96", A), record("sgtin-96:0614141", A))
+        from_tuple = OnsRegistry(records)
+        registry = OnsRegistry(r for r in records)
+        assert registry.records == from_tuple.records
+        assert repr(registry) == repr(from_tuple)
+        for copied in (pickle.loads(pickle.dumps(registry)), copy.copy(registry),
+                       copy.deepcopy(registry)):
+            assert copied == registry == from_tuple
+            for epc in (sgtin_epc, raw):
+                assert copied.resolve(epc) == from_tuple.resolve(epc)
 
 
 # company prefixes shared by registry patterns and drawn EPCs; the last is

@@ -16,7 +16,7 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import xor
 
 from .addressing import AddressingMethodId, TagStandard, integer_kernel
@@ -112,11 +112,7 @@ class BenchReport:
                 str(depth): count
                 for depth, count in sorted(self.shared_prefix_depth.items())
             },
-            "timing": {
-                "total": self.timing.total,
-                "mean": self.timing.mean,
-                "p99": self.timing.p99,
-            },
+            "timing": asdict(self.timing),
         }
 
     def csv_row(self) -> str:
@@ -163,22 +159,11 @@ def _distinct_serials(rng: random.Random, width: int, count: int) -> list[int]:
         )
     if width <= 48:
         return rng.sample(range(space), count)
-    # space dwarfs any realistic count: rejection sampling terminates fast
-    seen: set[int] = set()
-    out: list[int] = []
-    attempts = 0
-    limit = 10 * count + 100
-    while len(out) < count:
-        attempts += 1
-        if attempts > limit:
-            raise UnsatisfiableSpecError(
-                f"gave up drawing {count} distinct {width}-bit values"
-            )
-        v = rng.getrandbits(width)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    # a space of 2**49 or more: repeats are rare, and a dict keeps first-draw order
+    drawn: dict[int, None] = {}
+    while len(drawn) < count:
+        drawn[rng.getrandbits(width)] = None
+    return list(drawn)
 
 
 def generate_population(spec: PopulationSpec) -> list[Epc]:
@@ -331,7 +316,7 @@ def _measure(
     differing_bits = Counter(map(int.bit_length, map(xor, values, ons_values)))
 
     ordered = sorted(chunk_means)
-    p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
+    p99 = ordered[math.ceil(0.99 * len(ordered)) - 1]
     timing = TimingStats(total=total, mean=total / len(population), p99=p99)
 
     return BenchReport(
@@ -354,12 +339,7 @@ def render(spec: PopulationSpec, rows: list[BenchReport | NotApplicable],
     if not structured:
         return "\n".join([CSV_HEADER] + [row.csv_row() for row in rows]) + "\n"
     payload = {
-        "population": {
-            "scheme": spec.scheme.value,
-            "count": spec.count,
-            "seed": spec.seed,
-            "serial_width_bits": spec.serial_width_bits,
-        },
+        "population": asdict(spec),
         "reports": [row.to_dict() for row in rows if isinstance(row, BenchReport)],
     }
     skipped = [row.to_dict() for row in rows if isinstance(row, NotApplicable)]

@@ -27,7 +27,7 @@ from .errors import (
     UnsatisfiableSpecError,
 )
 from .ipv6 import Ipv6Address, parse_ipv6
-from .ons import OnsRegistry, load_registry
+from .ons import OnsRegistry, _parse_int, load_registry
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,35 +59,30 @@ class CliError(Exception):
         super().__init__(f"{stage}: {message}")
 
 
-class CliConfig:
-    """Settings from the config file; a key the file leaves out keeps its default."""
-
-    registry_path: str | None = None
-    default_method: AddressingMethodId = AddressingMethodId.HYBRID_ONS
-    output_format: str = "text"
-
-
-# key -> (check giving the value to keep, or None when invalid; its message)
+# key -> (default; check giving the value to keep, or None when invalid; its message)
 _CONFIG_KEYS = {
-    "registry_path": (lambda value: value if isinstance(value, str) and value else None,
+    "registry_path": (None, lambda value: value if isinstance(value, str) and value else None,
                       "registry_path must be a non-empty string, got {!r}"),
-    "default_method": (lambda value: AddressingMethodId(value)
+    "default_method": (AddressingMethodId.HYBRID_ONS,
+                       lambda value: AddressingMethodId(value)
                        if value in _METHOD_NAMES else None,
                        "unknown default_method {!r}"),
-    "output_format": (lambda value: value if value in ("text", "structured") else None,
+    "output_format": ("text", lambda value: value if value in ("text", "structured") else None,
                       "output_format must be 'text' or 'structured'"),
 }
 
 
-def load_config() -> CliConfig:
-    """Config from the file named by EPC_IPV6_CONFIG, or defaults."""
+def load_config() -> argparse.Namespace:
+    """Config from the file named by EPC_IPV6_CONFIG; a key it leaves out keeps its default."""
+    config = argparse.Namespace(**{key: row[0] for key, row in _CONFIG_KEYS.items()})
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
-        return CliConfig()
-    # ValueError: the file is not JSON or not UTF-8; RecursionError: it nests too deeply
+        return config
+    # ValueError: the file is not JSON or not UTF-8, or holds an over-long number;
+    # RecursionError: it nests too deeply
     try:
         with open(path, encoding="utf-8") as file:
-            data = json.load(file)
+            data = json.load(file, parse_int=_parse_int)
     except (OSError, ValueError, RecursionError) as exc:
         raise CliError("config", f"cannot load {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -95,8 +90,7 @@ def load_config() -> CliConfig:
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise CliError("config", f"unknown keys in {path}: {sorted(unknown)}")
-    config = CliConfig()
-    for key, (check, message) in _CONFIG_KEYS.items():
+    for key, (_, check, message) in _CONFIG_KEYS.items():
         if key in data:
             value = check(data[key])
             if value is None:
@@ -132,7 +126,7 @@ def _epc_from_arg(text: str) -> Epc:
     return Epc(EpcScheme.RAW, bit_length(value), value, value)
 
 
-def _ons_address(args, config: CliConfig, epc: Epc) -> Ipv6Address:
+def _ons_address(args, config: argparse.Namespace, epc: Epc) -> Ipv6Address:
     """Single ONS source: --ons literal, or --registry / config lookup."""
     if args.ons is not None and args.registry is not None:
         raise CliError("usage", "give exactly one of --ons and --registry")
@@ -142,7 +136,7 @@ def _ons_address(args, config: CliConfig, epc: Epc) -> Ipv6Address:
     return _registry(args, config, missing).resolve(epc)
 
 
-def _registry(args, config: CliConfig, missing_message: str) -> OnsRegistry:
+def _registry(args, config: argparse.Namespace, missing_message: str) -> OnsRegistry:
     """The registry named by --registry, else by the config's registry_path."""
     registry_path = args.registry or config.registry_path
     if registry_path is None:
@@ -150,7 +144,7 @@ def _registry(args, config: CliConfig, missing_message: str) -> OnsRegistry:
     return load_registry(registry_path)
 
 
-def cmd_derive(args, config: CliConfig) -> int:
+def cmd_derive(args, config: argparse.Namespace) -> int:
     epc = _epc_from_arg(args.epc)
     ons = _ons_address(args, config, epc)
     method = AddressingMethodId(args.method or config.default_method)
@@ -159,7 +153,7 @@ def cmd_derive(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_parse(args, config: CliConfig) -> int:
+def cmd_parse(args, config: argparse.Namespace) -> int:
     epc = parse_tag_uri(args.uri)
     fields = {
         "scheme": epc.scheme.value,
@@ -176,7 +170,7 @@ def cmd_parse(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_resolve(args, config: CliConfig) -> int:
+def cmd_resolve(args, config: argparse.Namespace) -> int:
     epc = _epc_from_arg(args.uri)
     address = _registry(args, config, _REGISTRY_REQUIRED).resolve(epc)
     if _output_format(args, config) == "structured":
@@ -186,7 +180,7 @@ def cmd_resolve(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args, config: CliConfig) -> int:
+def cmd_bench(args, config: argparse.Namespace) -> int:
     # the harness loads here, so the other commands never import it
     from .bench import NotApplicable, PopulationSpec, compare, generate_population, render
 
@@ -224,7 +218,7 @@ def cmd_bench(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _output_format(args, config: CliConfig) -> str:
+def _output_format(args, config: argparse.Namespace) -> str:
     return getattr(args, "format", None) or config.output_format
 
 

@@ -13,6 +13,7 @@ from enum import Enum
 
 from ._frozen import Frozen
 from .errors import (
+    EpcIpv6Error,
     FieldRangeError,
     InvalidPartitionError,
     TagUriError,
@@ -206,6 +207,16 @@ class Epc(Frozen):
             raise ValueError(
                 f"serial {serial_number} is not the serial field of value {value:#x}"
             )
+        # the URI is rendered and read for the company prefix, so it must be this
+        # EPC's own; tuples, not Epcs, are compared, so a subclass takes its URI too
+        if uri is not None:
+            try:
+                parsed = parse_tag_uri(uri)
+            except EpcIpv6Error as exc:
+                raise ValueError(f"uri {uri!r} is not a tag URI: {exc}") from exc
+            if parsed._astuple() != (scheme, declared_bits, value, serial_number, uri):
+                raise ValueError(f"uri {uri!r} is not the tag URI of {scheme.value} "
+                                 f"EPC value={value!r}, serial_number={serial_number!r}")
         self._store(scheme, declared_bits, value, serial_number, uri)
 
     def _label(self) -> str:
@@ -408,8 +419,7 @@ def company_prefix_of(epc: Epc) -> str | None:
         company_bits, company_digits, item_bits, _ = row
         company_prefix = (value >> (38 + item_bits)) & ((1 << company_bits) - 1)
         return f"{company_prefix:0{company_digits}d}"
-    if epc.uri is not None and epc.uri.startswith(_URI_PREFIX):
-        fields = epc.uri.rpartition(":")[2].split(".")
-        if len(fields) >= 2:
-            return fields[1]
+    if epc.uri is not None:
+        # a tag URI, checked when the Epc was built: urn:epc:tag:<scheme>:<filter>.<company>.…
+        return epc.uri.split(".")[1]
     return None

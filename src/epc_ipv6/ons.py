@@ -25,6 +25,20 @@ _SCHEMES = {scheme.value: scheme for scheme in EpcScheme}
 # (scheme, company-prefix digits); None matches anything in that position
 PatternKey = tuple[EpcScheme | None, str | None]
 
+# Python's default limit on the digits int() reads from text
+_INT_TEXT_LIMIT = 4300
+
+
+def _parse_int(text: str) -> int:
+    """``json``'s reader of integer text, refusing more than 4300 characters.
+
+    Without Python's own digit limit (``PYTHONINTMAXSTRDIGITS=0``), ``int()``
+    of a long decimal is quadratic; no registry or config value is a number.
+    """
+    if len(text) > _INT_TEXT_LIMIT:
+        raise ValueError(f"integer of {len(text)} characters exceeds {_INT_TEXT_LIMIT}")
+    return int(text)
+
 
 def _parse_pattern(pattern: str) -> PatternKey:
     """Validate a pattern and split it into its (scheme, company) key."""
@@ -98,9 +112,9 @@ def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
             text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read registry {path}: {exc}") from exc
-    # ValueError: not JSON (JSONDecodeError), or a number past int()'s digit limit
+    # ValueError: not JSON (JSONDecodeError), or an over-long number
     try:
-        entries = json.loads(text)
+        entries = json.loads(text, parse_int=_parse_int)
     except ValueError as exc:
         raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import settings
@@ -33,3 +34,13 @@ def registry_file(tmp_path):
 @pytest.fixture
 def wildcard_registry_path(registry_file):
     return registry_file([{"pattern": "*", "ons_ip": ONS_TEXT}])
+
+
+@pytest.fixture
+def int_limit_off():
+    """Python's limit on the digits int() reads from text switched off, as by
+    PYTHONINTMAXSTRDIGITS=0, for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)

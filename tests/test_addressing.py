@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from epc_ipv6 import (
     AddressingMethodId,
+    DerivationPlan,
     Epc,
     EpcScheme,
     Ipv6Address,
@@ -87,6 +88,15 @@ class TestPlan:
     def test_budget_sums_to_128(self, value):
         p = plan(raw_epc(value, declared_bits=128))
         assert p.input_bits + p.prefix_bits == 128
+
+    @pytest.mark.parametrize(
+        "input_bits, prefix_bits, message",
+        [(0, 128, r"^input_bits 0 outside 1\.\.128$"),
+         (64, 60, r"^input_bits 64 \+ prefix_bits 60 must equal 128$")],
+    )
+    def test_plan_checks_its_budget(self, input_bits, prefix_bits, message):
+        with pytest.raises(ValueError, match=message):
+            DerivationPlan(PayloadSource.FULL_EPC, input_bits, prefix_bits)
 
 
 class TestDeriveHybrid:
@@ -260,6 +270,10 @@ class TestDeriveIsoEpc:
         epc = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=5678)
         result = derive_iso_epc(epc, ons_address, standard=TagStandard.ISO)
         assert result.value & (2**64 - 1) == 5678
+
+    def test_iso_path_missing_serial(self, ons_address):
+        with pytest.raises(MissingSerialError):
+            derive_iso_epc(Epc(EpcScheme.RAW, 8, 5), ons_address, "iso")
 
     def test_epc_path_missing_value(self, ons_address):
         epc = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=5678)

@@ -19,6 +19,7 @@ from epc_ipv6 import (
     generate_population,
     load_registry,
     parse_ipv6,
+    parse_tag_uri,
     plan,
     resolve,
 )
@@ -349,6 +350,12 @@ class TestCompare:
             "derive: EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id "
             "(epc=giai-96:serial=5678)"
         )
+
+    def test_evaluate_names_a_parsed_epc_by_its_uri(self, wildcard_registry):
+        uri = "urn:epc:tag:giai-96:3.0614141.5678"
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(AddressingMethodId.DIRECT64, [parse_tag_uri(uri)], wildcard_registry)
+        assert str(excinfo.value).endswith(f"(epc={uri})")
 
 
 class TestReports:

@@ -165,6 +165,12 @@ class TestResolveCommand:
     def test_registry_required(self):
         assert main(["resolve", "0x1234"]) == EXIT_USAGE
 
+    def test_structured_output(self, capsys, registry_file):
+        registry = registry_file([{"pattern": "*", "ons_ip": "2001:db8::1"}])
+        argv = ["resolve", "0x1", "--registry", str(registry), "--format", "structured"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == '{"ons_ip": "2001:db8::1"}\n'
+
 
 class TestBenchCommand:
     def test_csv_output(self, capsys, wildcard_registry_path):
@@ -355,6 +361,14 @@ class TestBenchCommand:
             )
         assert excinfo.value.code == EXIT_USAGE
 
+    def test_empty_method_list(self, capsys, wildcard_registry_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--registry", str(wildcard_registry_path), "--methods", ","])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: argument --methods: empty method list\n"
+        )
+
 
 class TestBenchOutputPinned:
     """Bench output for fixed seeds, timing fields dropped, pinned by sha256.
@@ -481,6 +495,7 @@ class TestFailureMatrix:
         "badpat.json": [{"pattern": "usdod-96", "ons_ip": ONS_TEXT}],
         "empty.json": [],
         "rawonly.json": [{"pattern": "raw", "ons_ip": ONS_TEXT}],
+        "numpat.json": [{"pattern": 5, "ons_ip": ONS_TEXT}],
     }
 
     @pytest.fixture(autouse=True)
@@ -540,6 +555,14 @@ class TestFailureMatrix:
         (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "10",
           "--out", "missing-dir/report.csv"], EXIT_USAGE,
          f"output: FileNotFoundError: {NO_FILE}: 'missing-dir/report.csv'"),
+        (["derive", "0x1", "--registry", "numpat.json"], EXIT_RESOLVE,
+         "resolve: RegistryError: registry entry 0 has non-string values"),
+        (["bench", "--registry", "r.json", "--seed", "-1"], EXIT_USAGE,
+         "usage: population spec: seed -1 does not fit 64 bits"),
+        (["bench", "--registry", "r.json", "--seed", str(2**64)], EXIT_USAGE,
+         f"usage: population spec: seed {2**64} does not fit 64 bits"),
+        (["bench", "--registry", "r.json", "--serial-width-bits", "0"], EXIT_USAGE,
+         "usage: population spec: serial_width_bits 0 outside 1..256"),
     ]
 
     @pytest.mark.parametrize("argv, code, err", COMMAND_FAILURES)
@@ -585,7 +608,7 @@ class TestFailureMatrix:
 UNDECODABLE = {
     "not-utf8": b"\xff\xfe[]",
     "nested-past-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
-    # int() refuses a decimal of more than 4300 digits, and json.loads uses it
+    # an integer of more than 4300 characters is refused before int() reads it
     "number-past-int-digit-limit": b"[" + b"1" * 5000 + b"]",
 }
 
@@ -613,6 +636,20 @@ class TestUndecodableFiles:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
         assert main(["derive", "0x1", "--ons", "::"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"config: cannot load {config}: ")
+
+    # without the limit json.loads would read the number, slowly, as [<int>]
+    @pytest.mark.parametrize("command", ["derive", "resolve", "bench"])
+    def test_long_number_in_registry_without_int_limit(
+        self, capsys, tmp_path, int_limit_off, command
+    ):
+        content = UNDECODABLE["number-past-int-digit-limit"]
+        self.test_registry_is_resolve_error(capsys, tmp_path, command, content)
+
+    def test_long_number_in_config_without_int_limit(
+        self, capsys, monkeypatch, tmp_path, int_limit_off
+    ):
+        content = UNDECODABLE["number-past-int-digit-limit"]
+        self.test_config_is_usage_error(capsys, monkeypatch, tmp_path, content)
 
 
 LONG = "9" * 5000  # past int()'s default limit of 4300 decimal digits

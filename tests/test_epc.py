@@ -132,6 +132,10 @@ class TestSgtin96Codec:
         with pytest.raises(WrongHeaderError):
             decode_sgtin96(0x31 << 88)
 
+    def test_value_past_96_bits(self):
+        with pytest.raises(FieldRangeError, match=f"^value {1 << 96:#x} does not fit 96 bits$"):
+            decode_sgtin96(1 << 96)
+
     def test_invalid_partition(self):
         with pytest.raises(InvalidPartitionError):
             decode_sgtin96((0x30 << 88) | (7 << 82))
@@ -434,6 +438,44 @@ class TestEpcInvariants:
         # such fields built, and derive or company_prefix_of failed on them later
         with pytest.raises(ValueError, match="declared_bits must be an int"):
             Epc(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # another scheme's URI: render_tag_uri returned it, and resolve
+            # routed the EPC by its company prefix
+            (EpcScheme.GIAI96, 96, None, 5, GOLDEN_URI),
+            (EpcScheme.GIAI96, 96, None, 5, "hello"),
+            (EpcScheme.RAW, 8, 5, 5, "urn:epc:tag:giai-96:1.0614141.5"),
+            # one field other than the URI's
+            (EpcScheme.GIAI96, 96, None, 6, "urn:epc:tag:giai-96:3.0614141.5"),
+            (EpcScheme.SGLN96, 96, None, 5, "urn:epc:tag:giai-96:3.0614141.5"),
+            (EpcScheme.SGTIN96, 96, None, 6789, GOLDEN_URI),
+            (EpcScheme.SGTIN96, 96, GOLDEN_SGTIN96 + 1, 6790, GOLDEN_URI),
+        ],
+        ids=["sgtin-uri-on-giai", "not-a-uri", "uri-on-raw",
+             "serial", "scheme", "no-value", "value"],
+    )
+    def test_uri_must_be_the_epcs_own(self, args):
+        with pytest.raises(ValueError, match=f"^uri {args[4]!r} is not (a|the) tag URI"):
+            Epc(*args)
+
+    def test_uri_that_does_not_parse_chains_the_parse_error(self):
+        with pytest.raises(ValueError, match="is not a tag URI") as info:
+            Epc(EpcScheme.GIAI96, 96, None, 5, "urn:epc:tag:giai-96:3.0614141")
+        assert isinstance(info.value.__cause__, TagUriError)
+
+    @pytest.mark.parametrize("uri", [GOLDEN_URI, "urn:epc:tag:giai-96:3.0614141.5",
+                                     "urn:epc:tag:sgln-96:3.0614141.12345.400"])
+    def test_own_uri_accepted(self, uri):
+        parsed = parse_tag_uri(uri)
+        assert Epc(*parsed._astuple()) == parsed
+
+        class Tagged(Epc):
+            __slots__ = ()
+
+        # compared by fields, so a subclass of Epc takes its own URI too
+        assert Tagged(*parsed._astuple())._astuple() == parsed._astuple()
 
     def test_raw_width_bounds(self):
         with pytest.raises(ValueError):

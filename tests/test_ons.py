@@ -115,6 +115,20 @@ class TestLoadRegistry:
         with pytest.raises(RegistryError):
             load_registry(path)
 
+    @pytest.mark.parametrize(
+        "digits, error",
+        [(4300, "registry entry 0 must be an object"),
+         (4301, "not valid JSON: integer of 4301 characters exceeds 4300")],
+        ids=["at-bound", "past-bound"],
+    )
+    def test_integer_text_bounded_whatever_the_int_limit(
+        self, tmp_path, int_limit_off, digits, error
+    ):
+        path = tmp_path / "registry.json"
+        path.write_text("[" + "1" * digits + "]", encoding="utf-8")
+        with pytest.raises(RegistryError, match=error):
+            load_registry(path)
+
 
 class TestResolve:
     def test_company_beats_scheme_and_wildcard(self, registry_file, sgtin_epc):

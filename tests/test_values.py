@@ -36,8 +36,8 @@ CASES = {
         (EpcScheme.GIAI96, 96, None, 5, "urn:epc:tag:giai-96:3.0614141.5"),
         dict(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=5,
              uri="urn:epc:tag:giai-96:3.0614141.5"),
-        dict(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=6,
-             uri="urn:epc:tag:giai-96:3.0614141.5"),
+        dict(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=5,
+             uri="urn:epc:tag:giai-96:3.0614142.5"),
         f"Epc(scheme={EpcScheme.GIAI96!r}, declared_bits=96, value=None, "
         f"serial_number=5, uri='urn:epc:tag:giai-96:3.0614141.5')",
     ),

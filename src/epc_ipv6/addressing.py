@@ -124,6 +124,9 @@ def _direct64_step(epc: Epc) -> tuple[int, int]:
 
 def _pad_step(combine: Callable[[int, int], int], salt: int) -> Callable:
     """XOR-fold the EPC's 64-bit chunks (identity below 2**64), combine the salt."""
+    # a float salt would fail in combine on the first EPC, and True would act as 1
+    if salt.__class__ is not int:
+        raise InvalidOptionError(f"salt must be an int, got {salt!r}")
     if not 0 <= salt < 1 << IID_BITS:
         raise InvalidOptionError(f"salt {salt:#x} does not fit {IID_BITS} bits")
 
@@ -191,8 +194,9 @@ def integer_kernel(
 
     The address is the ONS address for ``hybrid_ons`` and the network prefix
     for every baseline. Each step yields ``payload < 2**n <= 2**128``, so an
-    in-range address gives an in-range result. A salt outside 64 bits or an
-    unknown standard raises :class:`InvalidOptionError` here, not per call.
+    in-range address gives an in-range result. A salt that is not an int in
+    64 bits or an unknown standard raises :class:`InvalidOptionError` here,
+    not per call.
     """
     if not isinstance(method, AddressingMethodId):
         raise ValueError(f"unknown addressing method {method!r}")

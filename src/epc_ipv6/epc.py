@@ -120,18 +120,11 @@ class Sgtin96Fields(Frozen):
         if partition not in SGTIN96_PARTITIONS:
             raise InvalidPartitionError(f"partition {partition} outside 0..6")
         company_bits, _, item_bits, _ = SGTIN96_PARTITIONS[partition]
-        if not 0 <= company_prefix < 1 << company_bits:
-            raise FieldRangeError(
-                f"company prefix {company_prefix} overflows {company_bits} bits"
-            )
-        if not 0 <= item_reference < 1 << item_bits:
-            raise FieldRangeError(
-                f"item reference {item_reference} overflows {item_bits} bits"
-            )
-        if not 0 <= serial < 1 << SGTIN96_SERIAL_BITS:
-            raise FieldRangeError(
-                f"serial {serial} overflows {SGTIN96_SERIAL_BITS} bits"
-            )
+        for name, number, bits in (("company prefix", company_prefix, company_bits),
+                                   ("item reference", item_reference, item_bits),
+                                   ("serial", serial, SGTIN96_SERIAL_BITS)):
+            if not 0 <= number < 1 << bits:
+                raise FieldRangeError(f"{name} {number} overflows {bits} bits")
         self._store(filter_value, partition, company_prefix, item_reference, serial)
 
     @property
@@ -251,13 +244,8 @@ def pack_sgtin96(
 
 def encode_sgtin96(fields: Sgtin96Fields) -> int:
     """Pack SGTIN-96 fields into the 96-bit binary form (see :func:`pack_sgtin96`)."""
-    return pack_sgtin96(
-        fields.filter_value,
-        fields.partition,
-        fields.company_prefix,
-        fields.item_reference,
-        fields.serial,
-    )
+    # Sgtin96Fields._fields is in pack_sgtin96's argument order
+    return pack_sgtin96(*fields._astuple())
 
 
 def decode_sgtin96(value: int) -> Sgtin96Fields:
@@ -300,6 +288,8 @@ def parse_tag_uri(text: str) -> Epc:
     and SGLN-96 URIs keep only the trailing serial/individual-reference
     field, which is all the serial-path derivation methods consume.
     """
+    if not isinstance(text, str):
+        raise TagUriError(f"expected tag URI text, got {type(text).__name__}")
     if not text.startswith(_URI_PREFIX):
         raise TagUriError(f"tag URI must start with {_URI_PREFIX!r}: {text!r}")
     scheme_name, sep, fields_text = text[len(_URI_PREFIX):].partition(":")
@@ -387,12 +377,11 @@ _PARSERS = {
 
 
 def render_tag_uri(epc: Epc) -> str:
-    """Canonical tag URI for an EPC.
-
-    SGTIN-96 URIs are rebuilt from the binary value, so render after parse
-    is the identity on the text; schemes kept serial-only fall back to the
-    URI recorded at parse time.
-    """
+    """Canonical tag URI for an EPC: the one it carries, which the parser and
+    ``Epc(...)`` make its own; for a URI-less SGTIN-96 EPC with a value, the
+    URI rebuilt through :func:`decode_sgtin96`."""
+    if epc.uri is not None:
+        return epc.uri
     if epc.scheme is EpcScheme.SGTIN96 and epc.value is not None:
         f = decode_sgtin96(epc.value)
         return (
@@ -401,25 +390,15 @@ def render_tag_uri(epc: Epc) -> str:
             f".{f.item_reference:0{f.item_digits}d}"
             f".{f.serial}"
         )
-    if epc.uri is not None:
-        return epc.uri
     raise TagUriError(f"no URI form available for {epc!r}")
 
 
 def company_prefix_of(epc: Epc) -> str | None:
-    """Company-prefix digits of an EPC, leading zeros preserved.
-
-    Read from the binary value for SGTIN-96, read back from the parsed URI
-    otherwise; ``None`` when the EPC carries neither.
-    """
-    value = epc.value
-    if epc.scheme is EpcScheme.SGTIN96 and value is not None:
-        # the Epc checked its partition and digit counts when it was built
-        row = SGTIN96_PARTITIONS[(value >> 82) & 0x7]
-        company_bits, company_digits, item_bits, _ = row
-        company_prefix = (value >> (38 + item_bits)) & ((1 << company_bits) - 1)
-        return f"{company_prefix:0{company_digits}d}"
+    """Company-prefix digits of an EPC, leading zeros preserved, read from its
+    tag URI (see :func:`render_tag_uri`); ``None`` when it has no URI form."""
+    # a tag URI reads urn:epc:tag:<scheme>:<filter>.<company>.…
     if epc.uri is not None:
-        # a tag URI, checked when the Epc was built: urn:epc:tag:<scheme>:<filter>.<company>.…
         return epc.uri.split(".")[1]
+    if epc.scheme is EpcScheme.SGTIN96 and epc.value is not None:
+        return render_tag_uri(epc).split(".")[1]
     return None

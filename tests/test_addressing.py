@@ -321,6 +321,21 @@ class TestBoundOptions:
         with pytest.raises(InvalidOptionError, match="does not fit 64 bits"):
             method_function(method, salt=salt)
 
+    @pytest.mark.parametrize("method", [AddressingMethodId.XOR_PAD, AddressingMethodId.OR_PAD])
+    @pytest.mark.parametrize("salt", [1.5, 1.0, True, "1"], ids=["1.5", "1.0", "True", "text"])
+    def test_non_int_salt_rejected_when_bound(self, method, salt):
+        with pytest.raises(InvalidOptionError) as info:
+            method_function(method, salt=salt)
+        assert str(info.value) == f"salt must be an int, got {salt!r}"
+
+    def test_non_int_salt_rejected_before_deriving(self, ons_address):
+        with pytest.raises(InvalidOptionError, match="salt must be an int"):
+            derive_xor_pad(raw_epc(1), ons_address, salt=1.5)
+
+    def test_non_int_salt_ignored_by_methods_without_one(self, ons_address):
+        fn = method_function(AddressingMethodId.ONE_PAD_SERIAL, salt=1.5)
+        assert fn(raw_epc(5), ons_address) == derive_one_pad(raw_epc(5), ons_address)
+
     def test_option_error_is_a_derivation_and_value_error(self):
         assert issubclass(InvalidOptionError, DerivationError)
         assert issubclass(InvalidOptionError, ValueError)

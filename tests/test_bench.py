@@ -127,6 +127,28 @@ class TestGeneratePopulation:
         with pytest.raises(ValueError):
             PopulationSpec(scheme=EpcScheme.RAW, count=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"scheme": "raw"},
+            {"scheme": "sgtin-96"},
+            {"count": 3.0},
+            {"count": True},
+            {"seed": 1.5},
+            {"seed": True},
+            {"serial_width_bits": 8.0},
+            {"serial_width_bits": True},
+        ],
+        ids=["scheme-raw-text", "scheme-sgtin-text", "count-float", "count-bool",
+             "seed-float", "seed-bool", "width-float", "width-bool"],
+    )
+    def test_field_classes_checked(self, options):
+        # "raw" equals EpcScheme.RAW and True equals 1, but neither would build
+        # the population the spec names
+        fields = {"scheme": EpcScheme.RAW, "count": 3, "seed": 1, **options}
+        with pytest.raises(ValueError, match="must be"):
+            PopulationSpec(**fields)
+
 
 class TestEvaluate:
     def test_golden_vector_pair(self, wildcard_registry):
@@ -285,6 +307,16 @@ class TestEvaluate:
                 evaluate(method, [epc], registry, **options)
             with pytest.raises(InvalidOptionError, match=message):
                 compare([AddressingMethodId.HYBRID_ONS, method], [epc], registry, **options)
+
+    def test_non_int_salt_rejected_before_resolving(self, registry_file):
+        # as for an out-of-range salt: the option fails before any EPC resolves
+        registry = load_registry(registry_file([{"pattern": "sgtin-96", "ons_ip": ONS_TEXT}]))
+        epc = Epc(scheme=EpcScheme.RAW, declared_bits=8, value=1, serial_number=1)
+        with pytest.raises(InvalidOptionError, match="salt must be an int, got 1.5"):
+            evaluate(AddressingMethodId.XOR_PAD, [epc], registry, 1.5)
+        with pytest.raises(InvalidOptionError, match="salt must be an int, got 1.5"):
+            compare([AddressingMethodId.HYBRID_ONS, AddressingMethodId.OR_PAD], [epc],
+                    registry, 1.5)
 
     def test_empty_population_rejected(self, wildcard_registry):
         with pytest.raises(ValueError):

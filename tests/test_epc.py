@@ -174,6 +174,21 @@ class TestSgtin96Codec:
         with pytest.raises(InvalidPartitionError):
             Sgtin96Fields(0, 7, 0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 6, 2**20, 0, 0), f"company prefix {2**20} overflows 20 bits"),
+            ((0, 0, 0, 16, 0), "item reference 16 overflows 4 bits"),
+            ((0, 0, 0, 0, 2**38), f"serial {2**38} overflows 38 bits"),
+            ((0, 5, -1, 0, 0), "company prefix -1 overflows 24 bits"),
+        ],
+        ids=["company", "item", "serial", "negative-company"],
+    )
+    def test_field_overflow_messages(self, fields, message):
+        with pytest.raises(FieldRangeError) as info:
+            Sgtin96Fields(*fields)
+        assert (type(info.value), str(info.value)) == (FieldRangeError, message)
+
 
 class TestParseTagUri:
     def test_sgtin96_example(self):
@@ -226,6 +241,16 @@ class TestParseTagUri:
     def test_malformed(self, uri):
         with pytest.raises(TagUriError):
             parse_tag_uri(uri)
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [(5, "int"), (GOLDEN_URI.encode(), "bytes"), (None, "NoneType")],
+        ids=["int", "bytes", "None"],
+    )
+    def test_non_string(self, text, kind):
+        with pytest.raises(TagUriError) as info:
+            parse_tag_uri(text)
+        assert str(info.value) == f"expected tag URI text, got {kind}"
 
     @pytest.mark.parametrize(
         "uri",
@@ -326,6 +351,31 @@ class TestRenderTagUri:
             f".{fields.serial}"
         )
         assert render_tag_uri(parse_tag_uri(uri)) == uri
+
+    def test_carried_uri_rendered_without_decoding(self, monkeypatch):
+        epc = parse_tag_uri(GOLDEN_URI)
+
+        def no_decode(value):
+            raise AssertionError("decode_sgtin96 called")
+
+        monkeypatch.setattr("epc_ipv6.epc.decode_sgtin96", no_decode)
+        assert render_tag_uri(epc) == GOLDEN_URI
+        assert company_prefix_of(epc) == "0614141"
+
+    @given(sgtin_fields())
+    def test_uri_less_twin_renders_the_parsed_uri(self, fields):
+        # the rebuild from the value must give the text the parser accepts
+        uri = (
+            f"urn:epc:tag:sgtin-96:{fields.filter_value}"
+            f".{fields.company_prefix:0{fields.company_digits}d}"
+            f".{fields.item_reference:0{fields.item_digits}d}"
+            f".{fields.serial}"
+        )
+        epc = parse_tag_uri(uri)
+        twin = Epc(EpcScheme.SGTIN96, 96, epc.value, epc.serial_number)
+        assert twin.uri is None
+        assert render_tag_uri(twin) == uri
+        assert company_prefix_of(twin) == company_prefix_of(epc) == uri.split(".")[1]
 
     def test_serial_only_schemes_keep_parsed_text(self):
         uri = "urn:epc:tag:giai-96:0.0614141.5678"

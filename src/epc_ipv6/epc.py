@@ -1,10 +1,11 @@
 """EPC tag URIs, the SGTIN-96 binary codec, and bit-width primitives.
 
 EPC tag URIs look like ``urn:epc:tag:sgtin-96:3.0614141.812345.6789``:
-a scheme name followed by dot-separated decimal fields. The character
-length of the company-prefix field is significant (leading zeros count)
-and selects the partition row that splits 44 bits between company prefix
-and item reference in the binary form.
+a scheme name followed by dot-separated decimal fields, read for every
+scheme through one table of filter, company prefix, optional middle
+reference and serial. The character length of the company-prefix field is
+significant (leading zeros count) and selects the partition row that sets
+the widths of the fields after it.
 """
 
 from __future__ import annotations
@@ -282,43 +283,58 @@ def decode_sgtin96(value: int) -> Sgtin96Fields:
 
 
 def parse_tag_uri(text: str) -> Epc:
-    """Parse an ``urn:epc:tag:`` URI into an :class:`Epc`.
+    """Parse an ``urn:epc:tag:`` URI, exactly a ``str``, into an :class:`Epc`.
 
+    Each scheme's fields are read through its row of ``_URI_LAYOUTS``.
     SGTIN-96 URIs get their full binary ``value`` via the codec; GIAI-96
     and SGLN-96 URIs keep only the trailing serial/individual-reference
     field, which is all the serial-path derivation methods consume.
     """
-    if not isinstance(text, str):
+    # a subclass would be stored as the uri, which Epc(...) refuses on copy
+    if text.__class__ is not str:
         raise TagUriError(f"expected tag URI text, got {type(text).__name__}")
     if not text.startswith(_URI_PREFIX):
         raise TagUriError(f"tag URI must start with {_URI_PREFIX!r}: {text!r}")
     scheme_name, sep, fields_text = text[len(_URI_PREFIX):].partition(":")
     if not sep or not fields_text:
         raise TagUriError(f"tag URI has no field section: {text!r}")
-    entry = _PARSERS.get(scheme_name)
-    if entry is None:
+    layout = _URI_LAYOUTS.get(scheme_name)
+    if layout is None:
         raise UnknownSchemeError(f"unknown tag scheme {scheme_name!r}")
+    scheme, middle_name, shared_digits, serial_bits = layout
 
     fields = fields_text.split(".")
     for field in fields:
         if field and not (field.isascii() and field.isdigit()):
             raise TagUriError(f"non-decimal field {field!r} in {text!r}")
-    # every scheme reads filter.company-prefix.…; the prefix length gives the partition
-    field_count, parser = entry
+    field_count = 3 if middle_name is None else 4
     if len(fields) != field_count:
         raise TagUriError(
             f"{scheme_name} URI needs {field_count} fields, got {len(fields)}: {text!r}"
         )
-    filter_field = fields[0]
+    filter_field, company_field = fields[0], fields[1]
     if len(filter_field) != 1:
         raise FieldRangeError(f"filter field {filter_field!r} must be a single digit")
     filter_value = int(filter_field)
     if filter_value > 7:
         raise FieldRangeError(f"filter value {filter_value} outside 0..7")
-    partition = _COMPANY_DIGITS_TO_PARTITION.get(len(fields[1]))
+    partition = _COMPANY_DIGITS_TO_PARTITION.get(len(company_field))
     if partition is None:
-        raise FieldRangeError(f"company prefix {fields[1]!r} must be 6..12 digits")
-    return parser(text, fields, filter_value, partition)
+        raise FieldRangeError(f"company prefix {company_field!r} must be 6..12 digits")
+    if middle_name is not None:
+        middle_field = fields[2]
+        middle_digits = shared_digits - len(company_field)
+        if len(middle_field) != middle_digits:
+            raise FieldRangeError(
+                f"{middle_name} {middle_field!r} must be {middle_digits} digits "
+                f"for a {len(company_field)}-digit company prefix"
+            )
+    serial = _parse_serial(fields[-1], serial_bits or 82 - SGTIN96_PARTITIONS[partition][0])
+    # every field is checked, so the Epc needs no checks of its own; only
+    # SGTIN-96 has a binary codec
+    value = (pack_sgtin96(filter_value, partition, int(company_field), int(middle_field), serial)
+             if scheme is EpcScheme.SGTIN96 else None)
+    return Epc._trusted(scheme, 96, value, serial, text)
 
 
 def _parse_serial(field: str, max_bits: int) -> int:
@@ -332,48 +348,15 @@ def _parse_serial(field: str, max_bits: int) -> int:
     return serial
 
 
-def _parse_sgtin96(text: str, fields: list[str], filter_value: int, partition: int) -> Epc:
-    _, company_field, item_field, serial_field = fields
-    item_digits = SGTIN96_PARTITIONS[partition][3]
-    if len(item_field) != item_digits:
-        raise FieldRangeError(
-            f"item reference {item_field!r} must be {item_digits} digits "
-            f"for a {len(company_field)}-digit company prefix"
-        )
-    serial = _parse_serial(serial_field, SGTIN96_SERIAL_BITS)
-    # every field is checked, so the Epc needs no checks of its own
-    value = pack_sgtin96(
-        filter_value, partition, int(company_field), int(item_field), serial
-    )
-    return Epc._trusted(EpcScheme.SGTIN96, 96, value, serial, text)
-
-
-def _parse_giai96(text: str, fields: list[str], filter_value: int, partition: int) -> Epc:
-    # asset reference fills the 82 bits left after header/filter/partition,
-    # at most 62 (SERIAL_BITS) since company_bits >= 20
-    serial = _parse_serial(fields[2], 82 - SGTIN96_PARTITIONS[partition][0])
-    return Epc._trusted(EpcScheme.GIAI96, 96, None, serial, text)
-
-
-def _parse_sgln96(text: str, fields: list[str], filter_value: int, partition: int) -> Epc:
-    _, company_field, location_field, extension_field = fields
-    location_digits = 12 - SGTIN96_PARTITIONS[partition][1]
-    if len(location_field) != location_digits:
-        raise FieldRangeError(
-            f"location reference {location_field!r} must be {location_digits} "
-            f"digits for a {len(company_field)}-digit company prefix"
-        )
-    serial = _parse_serial(extension_field, SERIAL_BITS[EpcScheme.SGLN96])
-    return Epc._trusted(EpcScheme.SGLN96, 96, None, serial, text)
-
-
-# every scheme but raw has a tag URI form: scheme name -> (field count, parser);
-# parse_tag_uri checks the count, the filter and the partition before the parser
-_PARSERS = {
-    EpcScheme.SGTIN96.value: (4, _parse_sgtin96),
-    EpcScheme.GIAI96.value: (3, _parse_giai96),
-    EpcScheme.SGLN96.value: (4, _parse_sgln96),
-}
+# every scheme but raw has a tag URI form, filter.company-prefix[.middle].serial:
+# scheme name -> (scheme, middle field's name or None, digits the company prefix
+# and the middle field share, serial bits or None for the 82 bits left after
+# header, filter, partition and company prefix: 42..62 for GIAI-96)
+_URI_LAYOUTS = {layout[0].value: layout for layout in (
+    (EpcScheme.SGTIN96, "item reference", 13, SGTIN96_SERIAL_BITS),
+    (EpcScheme.GIAI96, None, None, None),
+    (EpcScheme.SGLN96, "location reference", 12, SERIAL_BITS[EpcScheme.SGLN96]),
+)}
 
 
 def render_tag_uri(epc: Epc) -> str:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import epc_ipv6
 from epc_ipv6.cli import (
     EXIT_DERIVE,
     EXIT_OK,
@@ -418,6 +423,53 @@ class TestBenchOutputPinned:
         assert self._stable_digest(capsys.readouterr().out, output_format) == digest
 
 
+# the methods a serial-only population cannot derive, in report order
+SERIAL_ONLY_NOT_APPLICABLE = [
+    ("direct64", "EpcTooWideError"),
+    ("xor_pad", "MissingValueError"),
+    ("or_pad", "MissingValueError"),
+    ("iso_epc", "MissingValueError"),
+]
+
+
+class TestBenchCounts:
+    """Distinct addresses and colliding pairs of seeded bench runs, per method."""
+
+    @pytest.mark.parametrize(
+        "argv, counts, not_applicable",
+        [
+            # a salt whose low 14 bits are zero: or_pad folds raw EPCs together
+            (["--scheme", "raw", "--count", "20000", "--seed", "1",
+              "--salt", "0xffffffffffffc000"],
+             {"hybrid_ons": (20000, 0), "direct64": (20000, 0), "xor_pad": (20000, 0),
+              "or_pad": (11520, 12251), "one_pad_serial": (20000, 0),
+              "iso_epc": (20000, 0)},
+             []),
+            # full-width GIAI-96 serials
+            (["--scheme", "giai-96", "--count", "20000", "--seed", "3"],
+             {"hybrid_ons": (20000, 0), "one_pad_serial": (20000, 0)},
+             SERIAL_ONLY_NOT_APPLICABLE),
+            # 12-bit SGLN-96 serials
+            (["--scheme", "sgln-96", "--count", "3000", "--seed", "3",
+              "--serial-width-bits", "12"],
+             {"hybrid_ons": (2361, 1037), "one_pad_serial": (1730, 2251)},
+             SERIAL_ONLY_NOT_APPLICABLE),
+        ],
+        ids=["raw", "giai-96", "sgln-96"],
+    )
+    def test_counts(self, capsys, wildcard_registry_path, argv, counts, not_applicable):
+        code = main(["bench", "--registry", str(wildcard_registry_path),
+                     "--format", "structured", *argv])
+        assert code == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        count = data["population"]["count"]
+        assert {r["method"]: (r["distinct_addresses"], r["collision_pair_count"])
+                for r in data["reports"]} == counts
+        assert [(r["method"], r["failures"]) for r in data.get("not_applicable", [])] == [
+            (method, {error: count}) for method, error in not_applicable
+        ]
+
+
 class TestConfigFile:
     def test_config_provides_registry_and_method(
         self, capsys, monkeypatch, tmp_path, wildcard_registry_path
@@ -603,6 +655,39 @@ class TestFailureMatrix:
         captured = capsys.readouterr()
         assert captured.err == err + "\n"
         assert captured.out == ""
+
+
+class TestEntryPoint:
+    """``python -m epc_ipv6.cli`` in a fresh interpreter: its exit code is the
+    process's, and a failure is one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["derive", "0x2225C689D1FB66", "--ons", ONS_TEXT], EXIT_OK,
+             GOLDEN_ADDRESS + "\n", ""),
+            (["derive", "0x1"], EXIT_USAGE, "",
+             "usage: an ONS source is required: --ons, --registry, or config\n"),
+            (["derive", "zzz", "--ons", "::"], EXIT_PARSE, "",
+             "parse: TagUriError: 'zzz' is neither a tag URI nor a number\n"),
+            (["derive", "0x1", "--registry", "nope.json"], EXIT_RESOLVE, "",
+             f"resolve: RegistryError: cannot read registry nope.json: {NO_FILE}: "
+             "'nope.json'\n"),
+            (["derive", SGTIN_URI, "--ons", ONS_TEXT, "--method", "direct64"],
+             EXIT_DERIVE, "",
+             "derive: EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id\n"),
+        ],
+        ids=["ok", "usage", "parse", "resolve", "derive"],
+    )
+    def test_module_run(self, tmp_path, argv, code, out, err):
+        env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+        src = str(Path(epc_ipv6.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-m", "epc_ipv6.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (completed.returncode, completed.stdout, completed.stderr) == (code, out, err)
 
 
 UNDECODABLE = {

@@ -27,6 +27,10 @@ GOLDEN_SGTIN96 = 0x3074257BF7194E4000001A85
 GOLDEN_URI = "urn:epc:tag:sgtin-96:3.0614141.812345.6789"
 
 
+class StrSubclass(str):
+    """Text that is a str but not exactly one: no tag URI for the parser."""
+
+
 @st.composite
 def sgtin_fields(draw):
     partition = draw(st.integers(0, 6))
@@ -244,8 +248,9 @@ class TestParseTagUri:
 
     @pytest.mark.parametrize(
         "text, kind",
-        [(5, "int"), (GOLDEN_URI.encode(), "bytes"), (None, "NoneType")],
-        ids=["int", "bytes", "None"],
+        [(5, "int"), (GOLDEN_URI.encode(), "bytes"), (None, "NoneType"),
+         (StrSubclass(GOLDEN_URI), "StrSubclass")],
+        ids=["int", "bytes", "None", "str-subclass"],
     )
     def test_non_string(self, text, kind):
         with pytest.raises(TagUriError) as info:
@@ -305,6 +310,20 @@ class TestParseTagUri:
              "item reference '81234' must be 6 digits for a 7-digit company prefix"),
             ("urn:epc:tag:sgln-96:3.0614141.1234.400",
              "location reference '1234' must be 5 digits for a 7-digit company prefix"),
+            ("urn:epc:tag:sgln-96:0.123456789012.5.7",
+             "location reference '5' must be 0 digits for a 12-digit company prefix"),
+            # the middle field shares 13 digits with the company prefix in SGTIN-96
+            # and 12 in SGLN-96, which leaves no location digit at 12 company digits
+            *(
+                (f"urn:epc:tag:{scheme}:3.{'0614141555555'[:company]}.{'1' * width}.400",
+                 f"{name} {'1' * width!r} must be {shared - company} digits "
+                 f"for a {company}-digit company prefix")
+                for scheme, name, shared in (("sgtin-96", "item reference", 13),
+                                             ("sgln-96", "location reference", 12))
+                for company in range(6, 13)
+                for width in (shared - company - 1, shared - company + 1)
+                if width >= 0
+            ),
         ],
     )
     def test_reference_width_error(self, uri, message):
@@ -313,13 +332,53 @@ class TestParseTagUri:
         assert (type(info.value), str(info.value)) == (FieldRangeError, message)
 
     def test_giai_serial_width_depends_on_partition(self):
+        # the asset field fills the 82 bits the company prefix leaves:
         # 6-digit company -> 62-bit asset field, 12-digit -> 42 bits
-        parse_tag_uri(f"urn:epc:tag:giai-96:0.061414.{2**62 - 1}")
-        with pytest.raises(FieldRangeError):
-            parse_tag_uri(f"urn:epc:tag:giai-96:0.061414.{2**62}")
-        parse_tag_uri(f"urn:epc:tag:giai-96:0.061414155555.{2**42 - 1}")
-        with pytest.raises(FieldRangeError):
-            parse_tag_uri(f"urn:epc:tag:giai-96:0.061414155555.{2**42}")
+        company_bits = {6: 20, 7: 24, 8: 27, 9: 30, 10: 34, 11: 37, 12: 40}
+        for company, bits in company_bits.items():
+            prefix = f"urn:epc:tag:giai-96:0.{'061414155555'[:company]}."
+            bound = 2**(82 - bits)
+            assert parse_tag_uri(f"{prefix}{bound - 1}").serial_number == bound - 1
+            with pytest.raises(FieldRangeError) as info:
+                parse_tag_uri(f"{prefix}{bound}")
+            assert str(info.value) == f"serial {bound} overflows {82 - bits} bits"
+
+    @pytest.mark.parametrize(
+        "uri, error, message",
+        [
+            # prefix, field section, scheme, non-decimal field, field count, filter
+            # width, filter value, company-prefix length, middle field, serial:
+            # each URI has the fault named first and one named after it
+            ("urn:epc:id:xyz-96:1.x", TagUriError,
+             "tag URI must start with 'urn:epc:tag:': 'urn:epc:id:xyz-96:1.x'"),
+            ("urn:epc:tag:xyz-96", TagUriError,
+             "tag URI has no field section: 'urn:epc:tag:xyz-96'"),
+            ("urn:epc:tag:xyz-96:1.x", UnknownSchemeError, "unknown tag scheme 'xyz-96'"),
+            ("urn:epc:tag:giai-96:3.x.5.6", TagUriError,
+             "non-decimal field 'x' in 'urn:epc:tag:giai-96:3.x.5.6'"),
+            ("urn:epc:tag:sgtin-96:8.0614141.812345", TagUriError,
+             "sgtin-96 URI needs 4 fields, got 3: 'urn:epc:tag:sgtin-96:8.0614141.812345'"),
+            ("urn:epc:tag:sgtin-96:33.0614141.812345.6789", FieldRangeError,
+             "filter field '33' must be a single digit"),
+            ("urn:epc:tag:sgln-96:.0614141.1234.400", FieldRangeError,
+             "filter field '' must be a single digit"),
+            ("urn:epc:tag:giai-96:8.06141.5", FieldRangeError, "filter value 8 outside 0..7"),
+            ("urn:epc:tag:sgtin-96:8.0614141.81234.6789", FieldRangeError,
+             "filter value 8 outside 0..7"),
+            ("urn:epc:tag:sgtin-96:3.0614141555555.812345.274877906944", FieldRangeError,
+             "company prefix '0614141555555' must be 6..12 digits"),
+            ("urn:epc:tag:giai-96:3.06141.06789", FieldRangeError,
+             "company prefix '06141' must be 6..12 digits"),
+            ("urn:epc:tag:sgtin-96:3.0614141.81234.06789", FieldRangeError,
+             "item reference '81234' must be 6 digits for a 7-digit company prefix"),
+            ("urn:epc:tag:sgln-96:3.0614141.1234.", FieldRangeError,
+             "location reference '1234' must be 5 digits for a 7-digit company prefix"),
+        ],
+    )
+    def test_first_fault_wins(self, uri, error, message):
+        with pytest.raises(EpcIpv6Error) as info:
+            parse_tag_uri(uri)
+        assert (type(info.value), str(info.value)) == (error, message)
 
     @pytest.mark.parametrize(
         "prefix, bits",

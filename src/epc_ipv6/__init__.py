@@ -2,10 +2,11 @@
 
 The hybrid derivation keeps the high-order bits of an object's ONS server
 address and replaces the low bits with the object's EPC (or, for EPCs
-wider than 64 bits, its serial number), giving every object a unique,
-hierarchical address under its ONS server. Five fixed 64/64-split
-baseline methods are included for comparison, along with a static ONS
-registry, a benchmark harness, and a CLI.
+wider than 64 bits, its serial number), giving every object a hierarchical
+address under its ONS server; the README's "Collision semantics" says when
+these addresses are unique. Five fixed 64/64-split baseline methods are
+included for comparison, along with a static ONS registry, a benchmark
+harness, and a CLI.
 """
 
 from .addressing import (

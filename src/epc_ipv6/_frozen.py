@@ -1,16 +1,34 @@
 """Immutable value objects on ``__slots__``.
 
-A subclass lists its constructor arguments in ``_fields`` and every stored
-attribute in ``__slots__``. Its ``__init__`` checks the arguments and ends in
-one ``self._store(...)``, one argument per slot in ``__slots__`` order;
-``_trusted(*values)`` stores them on a new instance with no check, for values
-the package has proven valid. Equality and hashing compare the fields of two
-values of the same class; pickle and copy rebuild a value by calling the
-class with its fields, so its checks run again and derived slots are
-recomputed.
+A subclass lists its annotated constructor arguments in ``_fields`` and every
+stored attribute in ``__slots__``. Its ``__init__`` first calls
+``self._check(...)`` on the arguments, then checks their ranges and ends in one
+``self._store(...)``, one argument per slot in ``__slots__`` order;
+``_trusted(*values)`` stores slot values the package has proven valid on a new
+instance with no check. Equality and hashing compare the fields of two values
+of the same class; pickle and copy rebuild a value by calling the class with
+its fields, so its checks run again and derived slots are recomputed.
 """
 
+import sys
 from operator import attrgetter
+from types import GenericAlias, UnionType
+
+
+def field_check(cls, fields):
+    """Compile ``check(self, *values)``, straight-line as dataclasses compiles ``__init__``,
+    raising ``ValueError`` at the first value whose class is not exactly one its annotation
+    names; a collection field is left to its constructor, which checks each item."""
+    module, scope, tests = vars(sys.modules[cls.__module__]), {}, []
+    for name in fields:
+        hint = eval(cls.__annotations__[name], module)
+        if not isinstance(hint, GenericAlias):
+            scope[f"{name}_"] = frozenset(hint.__args__ if isinstance(hint, UnionType) else [hint])
+            message = f"{cls.__qualname__}.{name} must be {cls.__annotations__[name]}, got "
+            tests.append(f"\n if {name}.__class__ not in {name}_:"
+                         f" raise ValueError({message!r} + repr({name}))")
+    exec(f"def check(self, {', '.join(fields)}):\n pass" + "".join(tests), scope)
+    return scope["check"]
 
 
 class Frozen:
@@ -29,8 +47,9 @@ class Frozen:
             cls._astuple = lambda self: (get(self),)
         else:
             cls._astuple = lambda self: get(self)
-        # one straight-line store per class, compiled once as dataclasses compiles
-        # __init__ (a loop per call costs more than the stores); subclasses share it
+        if "_fields" in cls.__dict__:  # a subclass adding no fields shares its parent's check
+            cls._check = field_check(cls, cls._fields)
+        # one straight-line store per class, compiled once like _check; subclasses share it
         slots = cls.__dict__.get("__slots__")
         if slots and not hasattr(cls, "_store"):
             namespace = {f"set_{name}": cls.__dict__[name].__set__ for name in slots}

@@ -49,12 +49,7 @@ class DerivationPlan(Frozen):
     prefix_bits: int
 
     def __init__(self, source: PayloadSource, input_bits: int, prefix_bits: int):
-        if (source.__class__ is not PayloadSource
-                or not input_bits.__class__ is prefix_bits.__class__ is int):
-            raise ValueError(
-                "source must be a PayloadSource and the bit counts ints; "
-                f"got {source!r}, {input_bits!r}, {prefix_bits!r}"
-            )
+        self._check(source, input_bits, prefix_bits)
         if not 1 <= input_bits <= IPV6_BITS:
             raise ValueError(f"input_bits {input_bits} outside 1..{IPV6_BITS}")
         if input_bits + prefix_bits != IPV6_BITS:

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 from operator import xor
 
 from .addressing import AddressingMethodId, TagStandard, integer_kernel
-from .epc import _INT_OR_NONE, SERIAL_BITS, SGTIN96_PARTITIONS, Epc, EpcScheme, pack_sgtin96
+from ._frozen import field_check
+from .epc import SERIAL_BITS, SGTIN96_PARTITIONS, Epc, EpcScheme, pack_sgtin96
 from .errors import (
     DerivationError,
     EpcIpv6Error,
@@ -48,13 +49,7 @@ class PopulationSpec:
     serial_width_bits: int | None = None
 
     def __post_init__(self):
-        # "raw" equals EpcScheme.RAW and True equals 1, but the population would
-        # not be the one the spec names; a float fails late in generation
-        if (self.scheme.__class__ is not EpcScheme or self.count.__class__ is not int
-                or self.seed.__class__ is not int
-                or self.serial_width_bits.__class__ not in _INT_OR_NONE):
-            raise ValueError("scheme must be an EpcScheme, count and seed ints, "
-                             f"serial_width_bits an int or None; got {self!r}")
+        self._check(self.scheme, self.count, self.seed, self.serial_width_bits)
         if self.count < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
         if not 0 <= self.seed < 1 << 64:
@@ -70,6 +65,9 @@ class PopulationSpec:
         if self.serial_width_bits is None:
             return scheme_bits
         return min(scheme_bits, self.serial_width_bits)
+
+
+PopulationSpec._check = field_check(PopulationSpec, PopulationSpec.__match_args__)
 
 
 @dataclass(frozen=True)

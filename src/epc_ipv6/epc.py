@@ -68,10 +68,6 @@ SERIAL_BITS = {
 
 _URI_PREFIX = "urn:epc:tag:"
 
-# the classes an Epc field may have, exactly: subclasses such as bool are refused
-_INT_OR_NONE = frozenset((int, type(None)))
-_STR_OR_NONE = frozenset((str, type(None)))
-
 
 def bit_length(value: int) -> int:
     """Position of the most significant one-bit, 1-based.
@@ -109,13 +105,7 @@ class Sgtin96Fields(Frozen):
         item_reference: int,
         serial: int,
     ):
-        # a float or bool field would build and then fail in encode_sgtin96
-        if not (filter_value.__class__ is partition.__class__ is company_prefix.__class__
-                is item_reference.__class__ is serial.__class__ is int):
-            raise ValueError(
-                f"SGTIN-96 fields must be ints, got {filter_value!r}, {partition!r}, "
-                f"{company_prefix!r}, {item_reference!r}, {serial!r}"
-            )
+        self._check(filter_value, partition, company_prefix, item_reference, serial)
         if not 0 <= filter_value <= 7:
             raise FieldRangeError(f"filter value {filter_value} outside 0..7")
         if partition not in SGTIN96_PARTITIONS:
@@ -140,11 +130,12 @@ class Sgtin96Fields(Frozen):
 class Epc(Frozen):
     """A parsed Electronic Product Code.
 
-    ``value`` is the full binary EPC as one unsigned integer; it is absent
-    for schemes whose binary codec is out of scope (GIAI-96, SGLN-96),
-    where only the serial/individual-reference component is kept. The
-    constructor checks every field; values proven valid inside the package
-    (parsed tag URIs, generated populations) skip it through ``_trusted``.
+    ``value`` is the full binary EPC as one unsigned integer; it is absent,
+    and refused, for schemes whose binary codec is out of scope (GIAI-96,
+    SGLN-96), where only the serial/individual-reference component is kept.
+    The constructor checks every field; values proven valid inside the
+    package (parsed tag URIs, generated populations) skip it through
+    ``_trusted``.
     """
 
     __slots__ = _fields = ("scheme", "declared_bits", "value", "serial_number", "uri")
@@ -162,18 +153,7 @@ class Epc(Frozen):
         serial_number: int | None = None,
         uri: str | None = None,
     ):
-        # the text "sgtin-96" equals its member but would pass no scheme's checks
-        if scheme.__class__ is not EpcScheme:
-            raise ValueError(f"scheme must be an EpcScheme, got {scheme!r}")
-        # a float or bool field would build and then fail far from here
-        if (declared_bits.__class__ is not int or value.__class__ not in _INT_OR_NONE
-                or serial_number.__class__ not in _INT_OR_NONE
-                or uri.__class__ not in _STR_OR_NONE):
-            raise ValueError(
-                "declared_bits must be an int, value and serial_number an int or None, "
-                f"uri a str or None; got {declared_bits!r}, {value!r}, "
-                f"{serial_number!r}, {uri!r}"
-            )
+        self._check(scheme, declared_bits, value, serial_number, uri)
         if scheme is EpcScheme.RAW:
             if not 1 <= declared_bits <= 256:
                 raise ValueError(f"raw EPC width {declared_bits} outside 1..256")
@@ -188,6 +168,9 @@ class Epc(Frozen):
                 )
             if serial_number is None:
                 raise ValueError(f"{scheme.value} EPC must carry a serial number")
+            if value is not None and scheme is not EpcScheme.SGTIN96:
+                raise ValueError(f"{scheme.value} has no binary codec, so its EPC "
+                                 f"carries no value, got {value:#x}")
             max_serial_bits = SERIAL_BITS[scheme]
         if value is not None and not 0 <= value < 1 << declared_bits:
             raise ValueError(f"value {value:#x} does not fit {declared_bits} bits")

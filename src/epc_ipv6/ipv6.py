@@ -33,8 +33,7 @@ class Ipv6Address(Frozen):
     value: int
 
     def __init__(self, value: int):
-        if value.__class__ is not int:
-            raise ValueError(f"address value must be an int, got {value!r}")
+        self._check(value)
         if not 0 <= value < _ADDRESS_LIMIT:
             raise ValueError(f"address value {value:#x} does not fit 128 bits")
         self._store(value)

@@ -71,12 +71,7 @@ class OnsRecord(Frozen):
     key: PatternKey
 
     def __init__(self, pattern: str, ons_ip: Ipv6Address):
-        # address text in place of an Ipv6Address would build, and resolve
-        # would then return the text
-        if pattern.__class__ is not str or ons_ip.__class__ is not Ipv6Address:
-            raise ValueError(
-                f"pattern must be a str and ons_ip an Ipv6Address; got {pattern!r}, {ons_ip!r}"
-            )
+        self._check(pattern, ons_ip)
         self._store(pattern, ons_ip, _parse_pattern(pattern))
 
 
@@ -92,7 +87,7 @@ class OnsRegistry(Frozen):
         index: dict[PatternKey, Ipv6Address] = {}
         for record in records:
             if record.__class__ is not OnsRecord:
-                raise ValueError(f"registry records must be OnsRecords, got {record!r}")
+                raise ValueError(f"OnsRegistry.records must hold OnsRecords, got {record!r}")
             if record.key in index:
                 raise DuplicatePatternError(f"duplicate pattern {record.pattern!r}")
             index[record.key] = record.ons_ip

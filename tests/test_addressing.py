@@ -9,6 +9,8 @@ from epc_ipv6 import (
     Epc,
     EpcScheme,
     Ipv6Address,
+    OnsRecord,
+    OnsRegistry,
     PayloadSource,
     TagStandard,
     derive,
@@ -22,6 +24,7 @@ from epc_ipv6 import (
     parse_ipv6,
     parse_tag_uri,
     plan,
+    resolve,
 )
 from epc_ipv6.addressing import integer_kernel
 from epc_ipv6.epc import SERIAL_BITS, SGTIN96_PARTITIONS, pack_sgtin96
@@ -154,6 +157,30 @@ class TestDeriveHybrid:
                 else:
                     collide_predicted = u == (ons.value >> m) % 2 ** (n - m) * 2**m + v
                 assert (derived[u] == derived[v]) == collide_predicted, (u, v)
+
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**120),
+           st.data())
+    def test_injective_exactly_when_low_ons_bits_are_zero(self, width, high, data):
+        # one ONS address A and every payload below 2**W: distinct addresses
+        # exactly when bits 1..W-1 of A are zero (bit 0 is under every payload)
+        low = data.draw(st.integers(min_value=0, max_value=2 ** (width + 2) - 1))
+        ons = high << (width + 2) | low
+        kernel = integer_kernel(AddressingMethodId.HYBRID_ONS)
+        addresses = {kernel(raw_epc(v), ons) for v in range(2**width)}
+        condition = (ons >> 1) & (2 ** (width - 1) - 1) == 0
+        assert (len(addresses) == 2**width) == condition
+
+    def test_shared_serial_under_one_company_collides(self, ons_address):
+        # documented behaviour of the method, not a fix: an SGTIN-96 payload is
+        # the serial alone, which GS1 makes unique only within its GTIN, so two
+        # items of one company record with the same serial share an address
+        registry = OnsRegistry([OnsRecord("sgtin-96:0614141", ons_address)])
+        derived = {
+            str(derive_hybrid(epc, resolve(registry, epc)))
+            for epc in map(parse_tag_uri, ("urn:epc:tag:sgtin-96:3.0614141.812345.6789",
+                                           "urn:epc:tag:sgtin-96:3.0614141.812346.6789"))
+        }
+        assert derived == {"3ffe:ffff:4004:1952:0:7251:bc9b:ba85"}
 
     def test_payload_wider_than_address(self):
         serial = 1 << 129

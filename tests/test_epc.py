@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -483,6 +485,18 @@ class TestEpcInvariants:
         with pytest.raises(ValueError):
             Epc(scheme=EpcScheme.SGTIN96, declared_bits=64, serial_number=1)
 
+    @pytest.mark.parametrize("scheme, value", [(EpcScheme.GIAI96, 1 << 95),
+                                               (EpcScheme.SGLN96, 7)],
+                             ids=["giai-96", "sgln-96"])
+    def test_scheme_without_codec_takes_no_value(self, scheme, value):
+        # such an Epc built, and xor_pad, or_pad and iso_epc derived addresses
+        # from a number nothing had checked
+        message = (f"{scheme.value} has no binary codec, so its EPC carries no value, "
+                   f"got {value:#x}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            Epc(scheme, 96, value, 5)
+        assert type(info.value) is ValueError
+
     def test_sgtin_serial_field_width(self):
         with pytest.raises(ValueError):
             Epc(scheme=EpcScheme.SGTIN96, declared_bits=96, serial_number=2**38)
@@ -528,25 +542,29 @@ class TestEpcInvariants:
     def test_scheme_must_be_an_epc_scheme(self, args):
         # a scheme given as text skipped every scheme-specific check, so a
         # "sgtin-96" value with a wrong header built and then broke resolve
-        with pytest.raises(ValueError, match="scheme must be an EpcScheme"):
+        message = f"Epc.scheme must be EpcScheme, got {args[0]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Epc(*args)
 
     @pytest.mark.parametrize(
         "args",
+        # (constructor arguments, the message naming the first wrong field)
         [
-            (EpcScheme.RAW, 8, 1.5),
-            (EpcScheme.RAW, 8, True),
-            (EpcScheme.RAW, 8.0, 1),
-            (EpcScheme.SGTIN96, 96.0, None, 5),
-            (EpcScheme.GIAI96, 96, None, 5.0),
-            (EpcScheme.GIAI96, 96, None, 5, 5),
-            (EpcScheme.GIAI96, 96, None, 5, b"urn:epc:tag:giai-96:0.0614141.5"),
+            ((EpcScheme.RAW, 8, 1.5), "Epc.value must be int | None, got 1.5"),
+            ((EpcScheme.RAW, 8, True), "Epc.value must be int | None, got True"),
+            ((EpcScheme.RAW, 8.0, 1), "Epc.declared_bits must be int, got 8.0"),
+            ((EpcScheme.SGTIN96, 96.0, None, 5), "Epc.declared_bits must be int, got 96.0"),
+            ((EpcScheme.GIAI96, 96, None, 5.0), "Epc.serial_number must be int | None, got 5.0"),
+            ((EpcScheme.GIAI96, 96, None, 5, 5), "Epc.uri must be str | None, got 5"),
+            ((EpcScheme.GIAI96, 96, None, 5, b"urn:epc:tag:giai-96:0.0614141.5"),
+             "Epc.uri must be str | None, got b'urn:epc:tag:giai-96:0.0614141.5'"),
         ],
     )
     def test_fields_must_be_int_or_str(self, args):
         # such fields built, and derive or company_prefix_of failed on them later
-        with pytest.raises(ValueError, match="declared_bits must be an int"):
-            Epc(*args)
+        arguments, message = args
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Epc(*arguments)
 
     @pytest.mark.parametrize(
         "args",

@@ -149,7 +149,8 @@ class TestValueBounds:
     @pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None])
     def test_value_must_be_an_int(self, value):
         # a float built and only failed later, in str(), with an AttributeError
-        with pytest.raises(ValueError, match="address value must be an int"):
+        message = f"Ipv6Address.value must be int, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Ipv6Address(value)
 
 

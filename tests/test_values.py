@@ -7,10 +7,14 @@ back an equal, working value.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
+from enum import Enum
 
 import pytest
 
+import epc_ipv6
 from epc_ipv6 import (
     DerivationPlan,
     Epc,
@@ -19,9 +23,11 @@ from epc_ipv6 import (
     OnsRecord,
     OnsRegistry,
     PayloadSource,
+    PopulationSpec,
     Sgtin96Fields,
     resolve,
 )
+from epc_ipv6._frozen import Frozen
 
 ONS = Ipv6Address(0x2001_0DB8 << 96 | 1)
 OTHER_ONS = Ipv6Address(0x2001_0DB8 << 96 | 2)
@@ -187,25 +193,76 @@ def test_ipv6_addresses_order_by_value():
 
 # each built at first and failed later, far from the constructor: encode_sgtin96
 # raised TypeError, _parse_pattern or resolve AttributeError, resolve returned
-# the text "::1" as an address, and a plan carried floats or a plain string
+# the text "::1" as an address, and a plan carried floats or a plain string;
+# name -> (type, positional args, the field the refusal names)
 WRONG_CLASS = {
-    "float partition": (Sgtin96Fields, (3, 5.0, 614141, 812345, 6789)),
-    "float company prefix": (Sgtin96Fields, (3, 5, 614141.0, 812345, 6789)),
-    "bool filter": (Sgtin96Fields, (True, 5, 614141, 812345, 6789)),
-    "int pattern": (OnsRecord, (5, ONS)),
-    "text ons_ip": (OnsRecord, ("*", "::1")),
-    "int records": (OnsRegistry, ((1, 2),)),
-    "float bits": (DerivationPlan, (PayloadSource.FULL_EPC, 64.0, 64.0)),
-    "float prefix bits": (DerivationPlan, (PayloadSource.FULL_EPC, 64, 64.0)),
-    "text source": (DerivationPlan, ("full_epc", 64, 64)),
+    "float partition": (Sgtin96Fields, (3, 5.0, 614141, 812345, 6789), "partition"),
+    "float company prefix": (Sgtin96Fields, (3, 5, 614141.0, 812345, 6789), "company_prefix"),
+    "bool filter": (Sgtin96Fields, (True, 5, 614141, 812345, 6789), "filter_value"),
+    "int pattern": (OnsRecord, (5, ONS), "pattern"),
+    "text ons_ip": (OnsRecord, ("*", "::1"), "ons_ip"),
+    "int records": (OnsRegistry, ((1, 2),), "records"),
+    "float bits": (DerivationPlan, (PayloadSource.FULL_EPC, 64.0, 64.0), "input_bits"),
+    "float prefix bits": (DerivationPlan, (PayloadSource.FULL_EPC, 64, 64.0), "prefix_bits"),
+    "text source": (DerivationPlan, ("full_epc", 64, 64), "source"),
 }
 
 
-@pytest.mark.parametrize("cls, args", WRONG_CLASS.values(), ids=list(WRONG_CLASS))
-def test_fields_of_the_wrong_class_are_refused(cls, args):
+class Text(str):
+    """A str subclass, which no field takes."""
+
+
+# type -> (valid positional args, fields that take None, fields that take text)
+VALID_ARGS = {
+    **{cls: (args, set(), set()) for cls, args, *_ in CASES.values()},
+    Epc: (CASES["Epc"][1], {"value", "serial_number", "uri"}, {"uri"}),
+    OnsRecord: (CASES["OnsRecord"][1], set(), {"pattern"}),
+    PopulationSpec: ((EpcScheme.RAW, 10, 7, None), {"serial_width_bits"}, set()),
+}
+
+
+def _wrong_values(valid, optional, text):
+    """A float, a bool, text, a str subclass and None, each where the field takes none."""
+    as_text = valid.value if isinstance(valid, Enum) else str(valid)
+    yield "float", float(valid) if type(valid) is int else 1.5
+    yield "bool", True
+    if not text:
+        yield "text", as_text  # an enum's own text in place of the enum
+    yield "str subclass", Text(as_text)
+    if not optional:
+        yield "None", None
+
+
+# every field of every value type, made wrong in each way with the others valid;
+# a registry's records are made wrong by one record
+for cls, (args, optional, text) in VALID_ARGS.items():
+    for index, field in enumerate(cls.__match_args__):
+        for kind, wrong in _wrong_values(args[index], field in optional, field in text):
+            if cls is OnsRegistry:
+                wrong = (RECORD, wrong)
+            row = args[:index] + (wrong,) + args[index + 1:]
+            WRONG_CLASS[f"{cls.__name__}.{field} {kind}"] = (cls, row, field)
+
+
+@pytest.mark.parametrize("cls, args, field", WRONG_CLASS.values(), ids=list(WRONG_CLASS))
+def test_fields_of_the_wrong_class_are_refused(cls, args, field):
     with pytest.raises(ValueError) as excinfo:
         cls(*args)
     assert type(excinfo.value) is ValueError
+    assert str(excinfo.value).startswith(f"{cls.__name__}.{field} must ")
+
+
+def test_wrong_class_table_covers_every_value_type():
+    # a value type added to the package must join the table
+    for module in pkgutil.iter_modules(epc_ipv6.__path__):
+        importlib.import_module(f"epc_ipv6.{module.name}")
+    value_types = {
+        cls for cls in Frozen.__subclasses__() if cls.__module__.startswith("epc_ipv6.")
+    }
+    assert value_types | {PopulationSpec} == set(VALID_ARGS)
+    assert {(cls, field) for cls, _, field in WRONG_CLASS.values()} == {
+        (cls, field) for cls in VALID_ARGS for field in cls.__match_args__
+    }
 
 
 class PlainEpc(Epc):

@@ -1,10 +1,11 @@
 """Command-line front end: derive, parse, resolve, and bench.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 resolve error,
-5 derive error; ``bench`` reports a method that fails on its population
-as not applicable and still exits 0. A JSON config file named by the
-EPC_IPV6_CONFIG environment variable can preset the registry path,
-default method, and output format; flags override the config.
+5 derive error, named by the failing error's ``stage``; ``bench`` reports
+a method that fails on its population as not applicable and still exits 0.
+A JSON config file named by the EPC_IPV6_CONFIG environment variable can
+preset the registry path, default method, and output format; flags
+override the config.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ import sys
 from .addressing import AddressingMethodId, TagStandard, method_function
 from .epc import Epc, EpcScheme, bit_length, parse_tag_uri
 from .errors import (
-    DerivationError,
     EpcIpv6Error,
     EvaluationError,
     FieldRangeError,
-    NoMatchError,
-    RegistryError,
     TagUriError,
     UnsatisfiableSpecError,
 )
@@ -44,19 +42,16 @@ _GENERATOR_SCHEMES = [s.value for s in EpcScheme]
 # spaces and non-ASCII digits
 _DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 10: frozenset("0123456789")}
 
-# the stage and exit code of a package error: the first row it is an instance of
-_STAGES = (
-    ((RegistryError, NoMatchError), "resolve", EXIT_RESOLVE),
-    (DerivationError, "derive", EXIT_DERIVE),
-    (EpcIpv6Error, "parse", EXIT_PARSE),
-)
+_EXIT_CODES = {"usage": EXIT_USAGE, "config": EXIT_USAGE, "output": EXIT_USAGE,
+               "parse": EXIT_PARSE, "resolve": EXIT_RESOLVE, "derive": EXIT_DERIVE}
 
 
 class CliError(Exception):
-    """Usage error (exit 2) with a stage tag; package errors go through _STAGES."""
+    """Usage error (exit 2); its ``stage`` is usage, config or output, and starts its text."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
+        self.stage = stage
 
 
 # key -> (default; check giving the value to keep, or None when invalid; its message)
@@ -197,11 +192,7 @@ def cmd_bench(args, config: argparse.Namespace) -> int:
         raise CliError("usage", f"population spec: {exc}") from exc
 
     methods = [AddressingMethodId(name) for name in args.methods]
-    try:
-        rows = compare(methods, population, registry, args.salt, args.standard)
-    except EvaluationError as exc:  # a resolve failure: "resolve: <ErrorType>: ..."
-        print(exc, file=sys.stderr)
-        return EXIT_RESOLVE
+    rows = compare(methods, population, registry, args.salt, args.standard)
     for row in rows:
         if isinstance(row, NotApplicable):
             print(f"bench: {row}", file=sys.stderr)
@@ -297,14 +288,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config()
         return args.handler(args, config)
-    except CliError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except EpcIpv6Error as exc:
-        for types, stage, exit_code in _STAGES:
-            if isinstance(exc, types):
-                print(f"{stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                return exit_code
+    except (CliError, EpcIpv6Error) as exc:
+        # a CliError's or EvaluationError's text already starts with its stage
+        named = isinstance(exc, (CliError, EvaluationError))
+        print(exc if named else f"{exc.stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_CODES[exc.stage]
 
 
 def run() -> None:

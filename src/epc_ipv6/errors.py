@@ -1,8 +1,13 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, each naming the stage that failed."""
 
 
 class EpcIpv6Error(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.
+
+    ``stage`` names the step that failed, and through it the CLI's exit code.
+    """
+
+    stage = "parse"
 
 
 # --- tag URIs and the SGTIN-96 codec ---
@@ -38,6 +43,8 @@ class Ipv6TextError(EpcIpv6Error):
 class DerivationError(EpcIpv6Error):
     """Base class for address-derivation failures."""
 
+    stage = "derive"
+
 
 class MissingSerialError(DerivationError):
     """The chosen method needs a serial number the EPC does not carry."""
@@ -64,6 +71,8 @@ class InvalidOptionError(DerivationError, ValueError):
 class RegistryError(EpcIpv6Error):
     """Registry file is unreadable or structurally invalid."""
 
+    stage = "resolve"
+
 
 class DuplicatePatternError(RegistryError):
     """Two registry records share the same pattern."""
@@ -71,6 +80,8 @@ class DuplicatePatternError(RegistryError):
 
 class NoMatchError(EpcIpv6Error):
     """No registry record matches the EPC."""
+
+    stage = "resolve"
 
 
 # --- benchmark harness ---

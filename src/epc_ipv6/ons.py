@@ -83,7 +83,11 @@ class OnsRegistry(Frozen):
     records: tuple[OnsRecord, ...]
 
     def __init__(self, records: Iterable[OnsRecord]):
-        records = tuple(records)  # read once: an iterator is empty on a second pass
+        try:
+            iterator = iter(records)  # only this TypeError, not one raised while iterating
+        except TypeError:
+            raise ValueError(f"OnsRegistry.records must be iterable, got {records!r}") from None
+        records = tuple(iterator)  # read once: an iterator is empty on a second pass
         index: dict[PatternKey, Ipv6Address] = {}
         for record in records:
             if record.__class__ is not OnsRecord:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import epc_ipv6
+from epc_ipv6 import cli, errors
 from epc_ipv6.cli import (
     EXIT_DERIVE,
     EXIT_OK,
@@ -555,6 +556,8 @@ class TestFailureMatrix:
         monkeypatch.chdir(tmp_path)
         for name, entries in self.REGISTRIES.items():
             (tmp_path / name).write_text(json.dumps(entries), encoding="utf-8")
+        # a number past int()'s default limit of 4300 decimal digits
+        (tmp_path / "longnum.json").write_text("[" + "1" * 5000 + "]", encoding="utf-8")
 
     COMMAND_FAILURES = [
         (["derive", "urn:epc:tag:xyz-96:1.2.3", "--ons", "::"], EXIT_PARSE,
@@ -615,6 +618,11 @@ class TestFailureMatrix:
          f"usage: population spec: seed {2**64} does not fit 64 bits"),
         (["bench", "--registry", "r.json", "--serial-width-bits", "0"], EXIT_USAGE,
          "usage: population spec: serial_width_bits 0 outside 1..256"),
+        (["derive", "urn:epc:tag:giai-96:8.0614141.5", "--ons", "::"], EXIT_PARSE,
+         "parse: FieldRangeError: filter value 8 outside 0..7"),
+        (["resolve", "0x1", "--registry", "longnum.json"], EXIT_RESOLVE,
+         "resolve: RegistryError: registry longnum.json is not valid JSON: "
+         "integer of 5000 characters exceeds 4300"),
     ]
 
     @pytest.mark.parametrize("argv, code, err", COMMAND_FAILURES)
@@ -655,6 +663,53 @@ class TestFailureMatrix:
         captured = capsys.readouterr()
         assert captured.err == err + "\n"
         assert captured.out == ""
+
+
+# each error class of the package -> the stage main() prints and its exit code;
+# an EvaluationError carries its own stage, pinned by TestFailureMatrix's bench rows
+ERROR_STAGES = {
+    "EpcIpv6Error": ("parse", EXIT_PARSE),
+    "TagUriError": ("parse", EXIT_PARSE),
+    "UnknownSchemeError": ("parse", EXIT_PARSE),
+    "FieldRangeError": ("parse", EXIT_PARSE),
+    "WrongHeaderError": ("parse", EXIT_PARSE),
+    "InvalidPartitionError": ("parse", EXIT_PARSE),
+    "Ipv6TextError": ("parse", EXIT_PARSE),
+    "UnsatisfiableSpecError": ("parse", EXIT_PARSE),
+    "RegistryError": ("resolve", EXIT_RESOLVE),
+    "DuplicatePatternError": ("resolve", EXIT_RESOLVE),
+    "NoMatchError": ("resolve", EXIT_RESOLVE),
+    "DerivationError": ("derive", EXIT_DERIVE),
+    "MissingSerialError": ("derive", EXIT_DERIVE),
+    "MissingValueError": ("derive", EXIT_DERIVE),
+    "EpcTooWideError": ("derive", EXIT_DERIVE),
+    "SerialTooWideError": ("derive", EXIT_DERIVE),
+    "InvalidOptionError": ("derive", EXIT_DERIVE),
+}
+
+
+class TestErrorStages:
+    """The stderr line and exit code of each package error that reaches main()."""
+
+    @pytest.mark.parametrize("name", ERROR_STAGES)
+    def test_stage_and_exit_code(self, capsys, monkeypatch, name):
+        def fail(uri):
+            raise getattr(errors, name)("boom")
+
+        monkeypatch.setattr(cli, "parse_tag_uri", fail)
+        stage, code = ERROR_STAGES[name]
+        assert main(["parse", SGTIN_URI]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{stage}: {name}: boom\n"
+        assert captured.out == ""
+
+    def test_table_covers_every_error_class(self):
+        # an error class added to the package must join the table
+        classes = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.EpcIpv6Error)
+        }
+        assert set(ERROR_STAGES) | {"EvaluationError"} == classes
 
 
 class TestEntryPoint:

@@ -202,6 +202,9 @@ WRONG_CLASS = {
     "int pattern": (OnsRecord, (5, ONS), "pattern"),
     "text ons_ip": (OnsRecord, ("*", "::1"), "ons_ip"),
     "int records": (OnsRegistry, ((1, 2),), "records"),
+    "None as records": (OnsRegistry, (None,), "records"),
+    "int as records": (OnsRegistry, (5,), "records"),
+    "float as records": (OnsRegistry, (1.5,), "records"),
     "float bits": (DerivationPlan, (PayloadSource.FULL_EPC, 64.0, 64.0), "input_bits"),
     "float prefix bits": (DerivationPlan, (PayloadSource.FULL_EPC, 64, 64.0), "prefix_bits"),
     "text source": (DerivationPlan, ("full_epc", 64, 64), "source"),

@@ -1,17 +1,25 @@
 """128-bit IPv6 address values and their canonical text form.
 
-Formatting is hand-written to RFC 5952: lowercase hex, no leading zeros
+Text goes through the platform C library's ``inet_pton`` and ``inet_ntop``.
+The canonical form is RFC 5952's section 4: lowercase hex, no leading zeros
 inside a group, the longest run of two or more zero groups (leftmost on
-ties) compressed to ``::``, and a single zero group never compressed.
-Parsing stays on the stdlib ``ipaddress`` module, which accepts every
-full, zero-suppressed and ``::``-compressed form.
+ties) compressed to ``::``, and a single zero group never compressed. It
+writes only hex groups where section 5 allows a dotted-quad tail, as
+``ipaddress`` does; the C library writes ``::/96`` and ``::ffff:0:0/96``
+with one, so those two ranges are formatted by hand here. Parsing accepts
+every full, zero-suppressed and ``::``-compressed form, with or without an
+IPv4 tail; text the C parser refuses goes to the stdlib ``ipaddress``
+module, whose message the error carries.
 """
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from functools import total_ordering
+
+# the C core of ``socket``: importing ``socket`` itself would add its enums
+# and Python wrappers to every CLI start-up
+from _socket import AF_INET6, inet_ntop, inet_pton
 
 from ._frozen import Frozen
 from .errors import Ipv6TextError
@@ -23,6 +31,22 @@ _SENTINEL_TEXT = ":%x:%x:%x:%x:%x:%x:%x:%x:"
 _ZERO_RUNS = tuple(":0" * k + ":" for k in range(8, 1, -1))
 # CPython folds no constant this wide, so ``1 << 128`` inline is computed per call
 _ADDRESS_LIMIT = 1 << 128
+
+
+def format_canonical(addr: Ipv6Address) -> str:
+    """Canonical text form of an address; inverse of :func:`parse_ipv6`."""
+    value = addr.value
+    packed = value.to_bytes(16, "big")
+    # inet_ntop writes these two ranges as dotted quads, ::1.2.3.4 and ::ffff:1.2.3.4
+    if value >> 32 not in (0, 0xFFFF):
+        return inet_ntop(AF_INET6, packed)
+    text = _SENTINEL_TEXT % _GROUPS(packed)
+    for run in _ZERO_RUNS:
+        start = text.find(run)
+        if start >= 0:
+            # the run's outer colons become "::"; drop the sentinels that remain
+            return text[1:start] + "::" + text[start + len(run):-1]
+    return text[1:-1]
 
 
 @total_ordering
@@ -43,8 +67,7 @@ class Ipv6Address(Frozen):
             return NotImplemented
         return self.value < other.value
 
-    def __str__(self) -> str:
-        return format_canonical(self)
+    __str__ = format_canonical
 
 
 def parse_ipv6(text: str) -> Ipv6Address:
@@ -54,18 +77,14 @@ def parse_ipv6(text: str) -> Ipv6Address:
     if "%" in text:
         raise Ipv6TextError(f"zone identifiers are not addresses: {text!r}")
     try:
-        # ipaddress yields a value below 2**128
+        # 16 bytes always hold a value below 2**128
+        return Ipv6Address._trusted(int.from_bytes(inet_pton(AF_INET6, text), "big"))
+    except (OSError, ValueError):  # ValueError: an embedded NUL or a lone surrogate
+        pass
+    # ipaddress words the error; loaded only here, it stays off the start-up path
+    import ipaddress
+
+    try:
         return Ipv6Address._trusted(int(ipaddress.IPv6Address(text)))
     except ipaddress.AddressValueError as exc:
         raise Ipv6TextError(str(exc)) from None
-
-
-def format_canonical(addr: Ipv6Address) -> str:
-    """Canonical text form of an address; inverse of :func:`parse_ipv6`."""
-    text = _SENTINEL_TEXT % _GROUPS(addr.value.to_bytes(16, "big"))
-    for run in _ZERO_RUNS:
-        start = text.find(run)
-        if start >= 0:
-            # the run's outer colons become "::"; drop the sentinels that remain
-            return text[1:start] + "::" + text[start + len(run):-1]
-    return text[1:-1]

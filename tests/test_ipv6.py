@@ -69,6 +69,28 @@ def value_of(text: str) -> int:
     return value
 
 
+# (text, exact message); every message is ipaddress's but the zone check's,
+# which parse_ipv6 makes first
+MALFORMED = [
+    ("", "Address cannot be empty"),
+    ("1::2::3", "At most one '::' permitted in '1::2::3'"),
+    ("12345::", "At most 4 characters permitted in '12345' in '12345::'"),
+    ("1:2:3", "Exactly 8 parts expected without '::' in '1:2:3'"),
+    (":::", "At most one '::' permitted in ':::'"),
+    ("2001:db8::1%eth0", "zone identifiers are not addresses: '2001:db8::1%eth0'"),
+    ("g::1", "Only hex digits permitted in 'g' in 'g::1'"),
+    # the C parser raises ValueError for these two, not OSError
+    ("::1\x00", "Only hex digits permitted in '1\\x00' in '::1\\x00'"),
+    ("\udcff::", "Only hex digits permitted in '\\udcff' in '\\udcff::'"),
+    ("\u0661::1", "Only hex digits permitted in '\u0661' in '\u0661::1'"),
+    (" ::1", "Only hex digits permitted in ' ' in ' ::1'"),
+    ("::1.2.3.04",
+     "Leading zeros are not permitted in '04' in '1.2.3.04' in '::1.2.3.04'"),
+    ("::256.1.1.1",
+     "Octet 256 (> 255) not permitted in '256.1.1.1' in '::256.1.1.1'"),
+]
+
+
 class TestFormat:
     def test_reference_ons_value(self):
         addr = parse_ipv6("3ffe:ffff:4004:1952:0000:7251:bc9b:a73f")
@@ -124,16 +146,26 @@ class TestParse:
     def test_zero_suppressed(self):
         assert parse_ipv6("2001:db8:0:0:0:0:0:1").value == parse_ipv6("2001:db8::1").value
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "1::2::3", "12345::", "1:2:3", ":::", "2001:db8::1%eth0", "g::1"],
-    )
-    def test_malformed(self, text):
-        with pytest.raises(Ipv6TextError):
+    @pytest.mark.parametrize("text, message", MALFORMED, ids=[text for text, _ in MALFORMED])
+    def test_malformed(self, text, message):
+        with pytest.raises(Ipv6TextError) as info:
             parse_ipv6(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            ("1:2:3:4:5:6:7::", "1:2:3:4:5:6:7:0"),
+            ("::ffff:1.2.3.4", "::ffff:102:304"),
+            (type("Text", (str,), {})("::1"), "::1"),
+        ],
+        ids=["compressed-last-group", "ipv4-tail", "str-subclass"],
+    )
+    def test_accepted(self, text, canonical):
+        assert format_canonical(parse_ipv6(text)) == canonical
 
     def test_non_string(self):
-        with pytest.raises(Ipv6TextError):
+        with pytest.raises(Ipv6TextError, match="^expected IPv6 text, got int$"):
             parse_ipv6(42)
 
 
@@ -183,9 +215,66 @@ zero_heavy_values = st.lists(
 ).map(_from_groups)
 
 
+# the top 96 bits at and next to ::/96 and ::ffff:0:0/96, the two ranges the C
+# library writes with a dotted-quad tail
+dotted_range_edges = st.builds(
+    lambda high, low: high << 32 | low,
+    st.sampled_from([0, 1, 0xFFFE, 0xFFFF, 0x10000]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+HEX_DIGITS = "0123456789abcdefABCDEF"
+
+
+@st.composite
+def ipv6_grammar_text(draw):
+    """Text built from the IPv6 grammar, valid or nearly so: 0-9 groups of 0-6
+    mixed-case hex digits, ``::`` between any two groups or at either end, an
+    IPv4 tail of 3-5 octets up to 300 with or without leading zeros, and stray
+    characters anywhere."""
+    # most groups are valid, so a fair share of the text is an address
+    valid_group = st.text(HEX_DIGITS, min_size=1, max_size=4)
+    group = st.one_of(valid_group, valid_group, valid_group, st.text(HEX_DIGITS, max_size=6))
+    count = draw(st.integers(0, 9))
+    parts = draw(st.lists(group, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        octets = draw(st.lists(st.integers(0, 300), min_size=3, max_size=5))
+        widths = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]),
+                               min_size=len(octets), max_size=len(octets)))
+        parts.append(".".join(f"{octet:0{width}d}" for octet, width in zip(octets, widths)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(parts)))
+        text = ":".join(parts[:at]) + "::" + ":".join(parts[at:])
+    else:
+        text = ":".join(parts)
+    strays = st.lists(st.sampled_from(" .g%\x00\u00e9"), min_size=1, max_size=2)
+    for char in draw(st.just(()) | st.just(()) | strays):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + char + text[at:]
+    return text
+
+
+def _ipaddress_outcome(text):
+    if "%" in text:  # ipaddress reads a zone; parse_ipv6 refuses it first
+        return "error", f"zone identifiers are not addresses: {text!r}"
+    try:
+        return "value", int(ipaddress.IPv6Address(text))
+    except ipaddress.AddressValueError as exc:
+        return "error", str(exc)
+
+
 class TestAgainstStdlib:
-    @given(st.integers(min_value=0, max_value=2**128 - 1) | zero_heavy_values)
+    @given(st.integers(min_value=0, max_value=2**128 - 1) | zero_heavy_values | dotted_range_edges)
     def test_format_matches_ipaddress(self, value):
         text = format_canonical(Ipv6Address(value))
         assert text == ipaddress.IPv6Address(value).compressed
         assert parse_ipv6(text) == Ipv6Address(value)
+
+    @given(ipv6_grammar_text())
+    def test_parse_matches_ipaddress(self, text):
+        try:
+            outcome = "value", parse_ipv6(text).value
+        except Ipv6TextError as exc:
+            outcome = "error", str(exc)
+        assert outcome == _ipaddress_outcome(text)

@@ -287,8 +287,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config()
-        return args.handler(args, config)
-    except (CliError, EpcIpv6Error) as exc:
+        code = args.handler(args, config)
+        sys.stdout.flush()  # a closed stdout raises only when its buffer is written
+        return code
+    except (CliError, EpcIpv6Error, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit; that write goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            exc = CliError("output", f"{type(exc).__name__}: {exc}")
         # a CliError's or EvaluationError's text already starts with its stage
         named = isinstance(exc, (CliError, EvaluationError))
         print(exc if named else f"{exc.stage}: {type(exc).__name__}: {exc}", file=sys.stderr)

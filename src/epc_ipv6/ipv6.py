@@ -6,15 +6,14 @@ inside a group, the longest run of two or more zero groups (leftmost on
 ties) compressed to ``::``, and a single zero group never compressed. It
 writes only hex groups where section 5 allows a dotted-quad tail, as
 ``ipaddress`` does; the C library writes ``::/96`` and ``::ffff:0:0/96``
-with one, so those two ranges are formatted by hand here. Parsing accepts
-every full, zero-suppressed and ``::``-compressed form, with or without an
-IPv4 tail; text the C parser refuses goes to the stdlib ``ipaddress``
-module, whose message the error carries.
+with one, so those two ranges, led by five or more zero groups, are written
+here with that run compressed. Parsing accepts every full, zero-suppressed
+and ``::``-compressed form, with or without an IPv4 tail; text the C parser
+refuses goes to the stdlib ``ipaddress``, whose message the error carries.
 """
 
 from __future__ import annotations
 
-import struct
 from functools import total_ordering
 
 # the C core of ``socket``: importing ``socket`` itself would add its enums
@@ -24,11 +23,6 @@ from _socket import AF_INET6, inet_ntop, inet_pton
 from ._frozen import Frozen
 from .errors import Ipv6TextError
 
-_GROUPS = struct.Struct(">8H").unpack
-# a colon on each side of every group, so ":0:" only matches a whole zero group
-_SENTINEL_TEXT = ":%x:%x:%x:%x:%x:%x:%x:%x:"
-# zero runs to compress, longest first; str.find returns the leftmost
-_ZERO_RUNS = tuple(":0" * k + ":" for k in range(8, 1, -1))
 # CPython folds no constant this wide, so ``1 << 128`` inline is computed per call
 _ADDRESS_LIMIT = 1 << 128
 
@@ -36,17 +30,14 @@ _ADDRESS_LIMIT = 1 << 128
 def format_canonical(addr: Ipv6Address) -> str:
     """Canonical text form of an address; inverse of :func:`parse_ipv6`."""
     value = addr.value
-    packed = value.to_bytes(16, "big")
     # inet_ntop writes these two ranges as dotted quads, ::1.2.3.4 and ::ffff:1.2.3.4
     if value >> 32 not in (0, 0xFFFF):
-        return inet_ntop(AF_INET6, packed)
-    text = _SENTINEL_TEXT % _GROUPS(packed)
-    for run in _ZERO_RUNS:
-        start = text.find(run)
-        if start >= 0:
-            # the run's outer colons become "::"; drop the sentinels that remain
-            return text[1:start] + "::" + text[start + len(run):-1]
-    return text[1:-1]
+        return inet_ntop(AF_INET6, value.to_bytes(16, "big"))
+    if value >> 32:
+        return "::ffff:%x:%x" % (value >> 16 & 0xFFFF, value & 0xFFFF)
+    if value >> 16:
+        return "::%x:%x" % (value >> 16, value & 0xFFFF)
+    return "::%x" % value if value else "::"
 
 
 @total_ordering

@@ -712,6 +712,15 @@ class TestErrorStages:
         assert set(ERROR_STAGES) | {"EvaluationError"} == classes
 
 
+def child_env(*unset: str) -> dict:
+    """This environment without a config or ``unset``, the package's source first
+    on PYTHONPATH: for a fresh ``python -m epc_ipv6.cli``."""
+    env = {k: v for k, v in os.environ.items() if k not in (CONFIG_ENV_VAR, *unset)}
+    src = str(Path(epc_ipv6.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     """``python -m epc_ipv6.cli`` in a fresh interpreter: its exit code is the
     process's, and a failure is one stderr line, never a traceback."""
@@ -735,14 +744,46 @@ class TestEntryPoint:
         ids=["ok", "usage", "parse", "resolve", "derive"],
     )
     def test_module_run(self, tmp_path, argv, code, out, err):
-        env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
-        src = str(Path(epc_ipv6.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-m", "epc_ipv6.cli", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert (completed.returncode, completed.stdout, completed.stderr) == (code, out, err)
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone, as in ``epc-ipv6 parse ... | true``, is
+    an output error: exit 2 and one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derive", "0x2225C689D1FB66", "--ons", ONS_TEXT],
+            ["parse", SGTIN_URI],
+            ["resolve", SGTIN_URI, "--registry", "registry.json"],
+            ["bench", "--registry", "registry.json", "--count", "10"],
+        ],
+        ids=["derive", "parse", "resolve", "bench"],
+    )
+    def test_module_run(self, tmp_path, wildcard_registry_path, argv):
+        # the fixture writes registry.json into tmp_path, the child's working directory
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            # stdout block-buffered, as a user's pipe is: the error comes at a flush
+            completed = subprocess.run(
+                [sys.executable, "-m", "epc_ipv6.cli", *argv],
+                cwd=tmp_path, env=child_env("PYTHONUNBUFFERED"), stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == EXIT_USAGE
+        assert completed.stderr.splitlines()[-1] == (
+            "output: BrokenPipeError: [Errno 32] Broken pipe"
+        )
+        assert "Traceback" not in completed.stderr
+        assert "Exception ignored" not in completed.stderr
 
 
 UNDECODABLE = {

@@ -1,5 +1,6 @@
 """The CLI's import path stays lean: ``bench``, ``dataclasses`` and ``ipaddress``
-load on demand, and IPv6 text goes through ``_socket`` rather than ``socket``."""
+load on demand, IPv6 text goes through ``_socket`` rather than ``socket``, and
+no ``struct`` is loaded to format it."""
 
 import json
 import os
@@ -39,7 +40,7 @@ print(json.dumps({"cold": cold, "same_evaluate": same_evaluate,
 TEXT_CHILD = """
 import json, sys
 import epc_ipv6.cli
-loaded = {name: name in sys.modules for name in ("ipaddress", "socket")}
+loaded = {name: name in sys.modules for name in ("ipaddress", "socket", "struct")}
 from epc_ipv6 import parse_ipv6
 from epc_ipv6.errors import Ipv6TextError
 try:
@@ -72,5 +73,6 @@ def test_cli_import_leaves_bench_and_dataclasses_unloaded():
 def test_ipv6_text_needs_neither_ipaddress_nor_socket_until_an_error():
     # the error message is ipaddress's, so a refused text loads it
     assert run_child(TEXT_CHILD, "-S") == {
-        "ipaddress": False, "socket": False, "ipaddress_after_error": True,
+        "ipaddress": False, "socket": False, "struct": False,
+        "ipaddress_after_error": True,
     }

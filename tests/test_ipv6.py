@@ -137,6 +137,30 @@ class TestFormat:
     def test_rfc5952_section_4(self, text, canonical):
         assert format_canonical(parse_ipv6(text)) == canonical
 
+    @pytest.mark.parametrize(
+        "value, canonical",
+        [
+            # ::/96 and ::ffff:0:0/96, where inet_ntop would write a dotted quad:
+            # every shape of the hex form and both ends of each range; each text
+            # is ipaddress's
+            (0, "::"),
+            (1, "::1"),
+            (0xFFFF, "::ffff"),
+            (0x10000, "::1:0"),
+            (0xFFFFFFFF, "::ffff:ffff"),
+            (0xFFFF00000000, "::ffff:0:0"),
+            (0xFFFF00000001, "::ffff:0:1"),
+            (0xFFFF00010000, "::ffff:1:0"),
+            (0xFFFFFFFFFFFF, "::ffff:ffff:ffff"),
+            # just outside both ranges
+            (0x100000000, "::1:0:0"),
+            (0xFFFE00000000, "::fffe:0:0"),
+            (0x1FFFF00000000, "::1:ffff:0:0"),
+        ],
+    )
+    def test_dotted_quad_ranges(self, value, canonical):
+        assert format_canonical(Ipv6Address(value)) == canonical
+
 
 class TestParse:
     def test_full_form(self):

@@ -3,9 +3,10 @@
 A subclass lists its annotated constructor arguments in ``_fields`` and every
 stored attribute in ``__slots__``. Its ``__init__`` first calls
 ``self._check(...)`` on the arguments, then checks their ranges and ends in one
-``self._store(...)``, one argument per slot in ``__slots__`` order;
-``_trusted(*values)`` stores slot values the package has proven valid on a new
-instance with no check. Equality and hashing compare the fields of two values
+``self._store(...)``, one argument per slot in ``__slots__`` order. The
+classmethod ``_trusted(...)``, compiled with ``_store`` and inherited with it,
+stores slot values the package has proven valid on a new instance with no
+check. Equality and hashing compare the fields of two values
 of the same class; pickle and copy rebuild a value by calling the class with
 its fields, so its checks run again and derived slots are recomputed.
 """
@@ -49,20 +50,18 @@ class Frozen:
             cls._astuple = lambda self: get(self)
         if "_fields" in cls.__dict__:  # a subclass adding no fields shares its parent's check
             cls._check = field_check(cls, cls._fields)
-        # one straight-line store per class, compiled once like _check; subclasses share it
+        # one straight-line store per class, compiled once like _check, and a
+        # _trusted that stores the same way on a new instance; subclasses share both
         slots = cls.__dict__.get("__slots__")
         if slots and not hasattr(cls, "_store"):
             namespace = {f"set_{name}": cls.__dict__[name].__set__ for name in slots}
-            exec(f"def _store(self, {', '.join(slots)}):"
-                 + "".join(f"\n set_{name}(self, {name})" for name in slots), namespace)
+            namespace["new"] = object.__new__
+            args = ", ".join(slots)
+            sets = "".join(f"\n set_{name}(self, {name})" for name in slots)
+            exec(f"def _store(self, {args}):{sets}\n"
+                 f"def _trusted(cls, {args}):\n self = new(cls){sets}\n return self", namespace)
             cls._store = namespace["_store"]
-
-    @classmethod
-    def _trusted(cls, *values):
-        """A value from slot values the caller proved valid, built without any check."""
-        self = object.__new__(cls)
-        self._store(*values)
-        return self
+            cls._trusted = classmethod(namespace["_trusted"])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

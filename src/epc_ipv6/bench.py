@@ -1,7 +1,10 @@
 """Benchmark harness: seeded EPC populations, collision and timing reports.
 
 Populations are generated from a seed with the stdlib Mersenne Twister, so
-equal specs give byte-identical populations on every platform. ``compare``
+equal specs give byte-identical populations on every platform. An SGTIN-96
+field below ``n`` is ``getrandbits(n.bit_length())`` drawn until below ``n``,
+as ``randrange(n)`` draws on CPython 3.10-3.13, without depending on
+``randrange``, whose draws the Python docs do not promise to keep. ``compare``
 resolves a population once and reports each method over it; ``evaluate``
 is ``compare`` of one method. Reports are deterministic for equal inputs
 except for the timing block, which measures wall-clock derivation cost
@@ -186,18 +189,25 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
         # a raw code is its own serial number; width is 1..64
         return [trusted(EpcScheme.RAW, width, v, v, None) for v in serials]
     if spec.scheme is EpcScheme.SGTIN96:
-        randrange = rng.randrange
-        # per partition: draw bounds of the company prefix and item reference
-        bounds = [(10**row[1], 10**row[3]) for row in SGTIN96_PARTITIONS.values()]
+        getrandbits = rng.getrandbits
+        partition_bits, filter_bits = (7).bit_length(), (8).bit_length()
+        # per partition: company prefix and item reference bounds, each with its bits
+        bounds = [(10**c, (10**c).bit_length(), 10**i, (10**i).bit_length())
+                  for _, c, _, i in SGTIN96_PARTITIONS.values()]
         population = []
         for serial in serials:
             # draw order, which the populations depend on: partition, filter,
             # company prefix, item reference
-            partition = randrange(7)
-            company_bound, item_bound = bounds[partition]
-            value = pack_sgtin96(
-                randrange(8), partition, randrange(company_bound), randrange(item_bound), serial
-            )
+            while (partition := getrandbits(partition_bits)) >= 7:
+                pass
+            while (filter_value := getrandbits(filter_bits)) >= 8:
+                pass
+            company_bound, company_bits, item_bound, item_bits = bounds[partition]
+            while (company := getrandbits(company_bits)) >= company_bound:
+                pass
+            while (item := getrandbits(item_bits)) >= item_bound:
+                pass
+            value = pack_sgtin96(filter_value, partition, company, item, serial)
             population.append(trusted(EpcScheme.SGTIN96, 96, value, serial, None))
         return population
     # serial-only schemes: no binary codec, the serial is all that matters;

@@ -4,7 +4,8 @@ The registry file is a JSON array of ``{"pattern": ..., "ons_ip": ...}``
 objects. A pattern is a scheme name with an optional company-prefix
 literal (``"sgtin-96:0614141"``, ``"sgtin-96"``) or the wildcard ``"*"``.
 Patterns are parsed once, into dict keys; whatever the registry size, a
-lookup probes scheme+company, then scheme, then wildcard: the precedence.
+lookup probes scheme+company, then one per-scheme fallback table built with
+the registry (scheme record, else wildcard): the precedence.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class OnsRegistry(Frozen):
     """Immutable collection of records, kept most-specific-first."""
 
     _fields = ("records",)
-    __slots__ = _fields + ("_index", "_company_schemes")
+    __slots__ = _fields + ("_index", "_company_schemes", "_fallback")
     records: tuple[OnsRecord, ...]
 
     def __init__(self, records: Iterable[OnsRecord]):
@@ -97,8 +98,10 @@ class OnsRegistry(Frozen):
             index[record.key] = record.ons_ip
         # fewer None positions is more specific; the sort keeps input order on ties
         records = sorted(records, key=lambda record: record.key.count(None))
-        # the last slot holds the schemes that make resolve look up a company prefix
-        self._store(tuple(records), index, {s for s, c in index if c})
+        # schemes with company records, then per scheme: scheme record, else wildcard
+        wildcard = index.get((None, None))
+        self._store(tuple(records), index, {s for s, c in index if c},
+                    {s: index.get((s, None), wildcard) for s in _SCHEMES.values()})
 
     def resolve(self, epc: Epc) -> Ipv6Address:
         return resolve(self, epc)
@@ -141,14 +144,12 @@ def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
 
 def resolve(registry: OnsRegistry, epc: Epc) -> Ipv6Address:
     """ONS address of the most specific record matching the EPC."""
-    scheme, index = epc.scheme, registry._index
+    scheme = epc.scheme
     if scheme in registry._company_schemes:
-        ons_ip = index.get((scheme, company_prefix_of(epc)))
+        ons_ip = registry._index.get((scheme, company_prefix_of(epc)))
         if ons_ip is not None:
             return ons_ip
-    ons_ip = index.get((scheme, None))
+    ons_ip = registry._fallback[scheme]
     if ons_ip is None:
-        ons_ip = index.get((None, None))
-        if ons_ip is None:
-            raise NoMatchError(f"no registry record matches {scheme.value} EPC")
+        raise NoMatchError(f"no registry record matches {scheme.value} EPC")
     return ons_ip

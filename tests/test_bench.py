@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
+import random
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from epc_ipv6 import (
 from epc_ipv6 import bench
 from epc_ipv6.addressing import integer_kernel
 from epc_ipv6.bench import CSV_HEADER, NotApplicable, compare
+from epc_ipv6.epc import SGTIN96_PARTITIONS, pack_sgtin96
 from epc_ipv6.errors import EvaluationError, InvalidOptionError, UnsatisfiableSpecError
 
 from conftest import ONS_TEXT
@@ -34,6 +36,29 @@ from conftest import ONS_TEXT
 @pytest.fixture
 def wildcard_registry(wildcard_registry_path):
     return load_registry(wildcard_registry_path)
+
+
+def reference_sgtin_population(spec):
+    """The SGTIN-96 population as first generated, on ``randrange``: the
+    reference the rejection draws on ``getrandbits`` must reproduce."""
+    rng = random.Random(spec.seed)
+    width = spec.effective_serial_bits
+    serials = bench._distinct_serials(rng, width, spec.count)
+    trusted = Epc._trusted
+    randrange = rng.randrange
+    # per partition: draw bounds of the company prefix and item reference
+    bounds = [(10**row[1], 10**row[3]) for row in SGTIN96_PARTITIONS.values()]
+    population = []
+    for serial in serials:
+        # draw order, which the populations depend on: partition, filter,
+        # company prefix, item reference
+        partition = randrange(7)
+        company_bound, item_bound = bounds[partition]
+        value = pack_sgtin96(
+            randrange(8), partition, randrange(company_bound), randrange(item_bound), serial
+        )
+        population.append(trusted(EpcScheme.SGTIN96, 96, value, serial, None))
+    return population
 
 
 class TestGeneratePopulation:
@@ -68,6 +93,19 @@ class TestGeneratePopulation:
             for e in generate_population(spec)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=38)),
+        st.data(),
+    )
+    def test_sgtin_population_matches_randrange_reference(self, seed, width, data):
+        # every field, and the order of the draws, as randrange(n) drew them
+        count = data.draw(st.integers(1, min(300, 2**(width or 38))))
+        spec = PopulationSpec(
+            scheme=EpcScheme.SGTIN96, count=count, seed=seed, serial_width_bits=width
+        )
+        assert generate_population(spec) == reference_sgtin_population(spec)
 
     def test_seed_changes_population(self):
         a = generate_population(PopulationSpec(scheme=EpcScheme.SGTIN96, count=50, seed=1))

@@ -252,6 +252,31 @@ class TestOrdering:
             for epc in (sgtin_epc, raw):
                 assert copied.resolve(epc) == from_tuple.resolve(epc)
 
+    def test_copies_resolve_every_scheme(self, sgtin_epc, raw):
+        # resolve's per-scheme fallback table is built by the constructor, so
+        # pickle and copy, which call it again, must rebuild the same table
+        epcs = [sgtin_epc, parse_tag_uri("urn:epc:tag:giai-96:3.0614141.5678"),
+                parse_tag_uri("urn:epc:tag:sgln-96:3.0614141.12345.400"), raw]
+        assert [epc.scheme for epc in epcs] == list(EpcScheme)
+        # a scheme record, a company record, the wildcard and a raw scheme record
+        registry = OnsRegistry((record("*", "2001:db8::1"), record("sgtin-96", "2001:db8::2"),
+                                record("giai-96:0614141", "2001:db8::3"),
+                                record("raw", "2001:db8::4")))
+        expected = [parse_ipv6(f"2001:db8::{n}") for n in (2, 3, 1, 4)]
+        # scheme records only: a raw EPC matches nothing
+        schemes_only = OnsRegistry(record(s, A) for s in ("sgtin-96", "giai-96", "sgln-96"))
+
+        def copies(original):
+            return (original, pickle.loads(pickle.dumps(original)),
+                    copy.copy(original), copy.deepcopy(original))
+
+        for copied in copies(registry):
+            assert [copied.resolve(epc) for epc in epcs] == expected
+        for copied in copies(schemes_only):
+            assert [copied.resolve(epc) for epc in epcs[:3]] == [parse_ipv6(A)] * 3
+            with pytest.raises(NoMatchError, match="^no registry record matches raw EPC$"):
+                copied.resolve(raw)
+
 
 # company prefixes shared by registry patterns and drawn EPCs; the last is
 # never registered, so company lookups also miss

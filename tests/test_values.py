@@ -307,6 +307,23 @@ def test_user_subclasses_build_compare_and_pickle(cls, args):
         value.value = 8
 
 
+@pytest.mark.parametrize("cls, args", [
+    *((cls, args) for cls, args, *_ in CASES.values()),
+    (PlainEpc, (EpcScheme.GIAI96, 96, None, 5)),
+    (TaggedEpc, (EpcScheme.SGTIN96, 96, None, 5)),
+    (SlottedAddress, (7,)),
+], ids=[*CASES, "PlainEpc", "TaggedEpc", "SlottedAddress"])
+def test_trusted_builds_what_the_constructor_builds(cls, args):
+    # _trusted takes a value per slot of the class whose _store it shares, in
+    # __slots__ order, and builds an instance of the class it is called on
+    checked = cls(*args)
+    slots = next(c for c in cls.__mro__ if "_store" in c.__dict__).__slots__
+    values = [getattr(checked, name) for name in slots]
+    trusted = cls._trusted(*values)
+    assert type(trusted) is cls and trusted == checked
+    assert [getattr(trusted, name) for name in slots] == values
+
+
 def _field_names(value):
     return {
         Epc: ("scheme", "declared_bits", "value", "serial_number", "uri"),

@@ -3,13 +3,15 @@
 The registry file is a JSON array of ``{"pattern": ..., "ons_ip": ...}``
 objects. A pattern is a scheme name with an optional company-prefix
 literal (``"sgtin-96:0614141"``, ``"sgtin-96"``) or the wildcard ``"*"``.
-Patterns are parsed once, into dict keys; whatever the registry size, a
-lookup probes scheme+company, then one per-scheme fallback table built with
-the registry (scheme record, else wildcard): the precedence.
+Patterns are parsed once, into dict keys; whatever the registry size,
+``lookup`` probes scheme+company, then one per-scheme fallback table built
+with the registry (scheme record, else wildcard): the precedence. Records
+that name one ONS text in a file share one address.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from collections.abc import Iterable
@@ -20,6 +22,7 @@ from .errors import DuplicatePatternError, Ipv6TextError, NoMatchError, Registry
 from .ipv6 import Ipv6Address, parse_ipv6
 
 WILDCARD = "*"
+_ENTRY_KEYS = frozenset(("pattern", "ons_ip"))
 
 _SCHEMES = {scheme.value: scheme for scheme in EpcScheme}
 
@@ -88,27 +91,39 @@ class OnsRegistry(Frozen):
             iterator = iter(records)  # only this TypeError, not one raised while iterating
         except TypeError:
             raise ValueError(f"OnsRegistry.records must be iterable, got {records!r}") from None
-        records = tuple(iterator)  # read once: an iterator is empty on a second pass
-        index: dict[PatternKey, Ipv6Address] = {}
-        for record in records:
+        index: dict[PatternKey, OnsRecord] = {}
+        buckets = ([], [], [])  # company, scheme, wildcard: a key's None count; input order
+        for record in iterator:  # read once: an iterator is empty on a second pass
             if record.__class__ is not OnsRecord:
                 raise ValueError(f"OnsRegistry.records must hold OnsRecords, got {record!r}")
-            if record.key in index:
+            key = record.key
+            if key in index:
                 raise DuplicatePatternError(f"duplicate pattern {record.pattern!r}")
-            index[record.key] = record.ons_ip
-        # fewer None positions is more specific; the sort keeps input order on ties
-        records = sorted(records, key=lambda record: record.key.count(None))
+            index[key] = record
+            buckets[key.count(None)].append(record)
         # schemes with company records, then per scheme: scheme record, else wildcard
         wildcard = index.get((None, None))
-        self._store(tuple(records), index, {s for s, c in index if c},
+        self._store((*buckets[0], *buckets[1], *buckets[2]), index, {s for s, c in index if c},
                     {s: index.get((s, None), wildcard) for s in _SCHEMES.values()})
+
+    def lookup(self, epc: Epc) -> OnsRecord:
+        """The most specific record matching the EPC: scheme+company, scheme, then ``*``."""
+        scheme = epc.scheme
+        if scheme in self._company_schemes:
+            record = self._index.get((scheme, company_prefix_of(epc)))
+            if record is not None:
+                return record
+        record = self._fallback[scheme]
+        if record is None:
+            raise NoMatchError(f"no registry record matches {scheme.value} EPC")
+        return record
 
     def resolve(self, epc: Epc) -> Ipv6Address:
         return resolve(self, epc)
 
 
-def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
-    """Load and validate a registry file."""
+def _read_entries(path: str | os.PathLike[str]) -> list:
+    """The registry file's decoded JSON array; its text is freed on return."""
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
@@ -123,33 +138,40 @@ def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
         raise RegistryError(f"registry {path} nests too deeply to load: {exc}") from exc
     if not isinstance(entries, list):
         raise RegistryError(f"registry {path} must be a JSON array of entries")
+    return entries
 
+
+def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
+    """Load and validate a registry file; records naming one ONS text share its address."""
+    entries = _read_entries(path)
+    ons_by_text: dict[str, Ipv6Address] = {}
     records = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != {"pattern", "ons_ip"}:
-            raise RegistryError(
-                f"registry entry {i} must be an object with exactly "
-                f"the keys 'pattern' and 'ons_ip'"
-            )
-        pattern, ons_text = entry["pattern"], entry["ons_ip"]
-        if not isinstance(pattern, str) or not isinstance(ons_text, str):
-            raise RegistryError(f"registry entry {i} has non-string values")
-        try:
-            ons_ip = parse_ipv6(ons_text)
-        except Ipv6TextError as exc:
-            raise RegistryError(f"registry entry {i}: {exc}") from exc
-        records.append(OnsRecord(pattern=pattern, ons_ip=ons_ip))
-    return OnsRegistry(records)
+    append, trusted = records.append, OnsRecord._trusted
+    # records hold no cycles: the collector's passes over them would find nothing
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
+                raise RegistryError(f"registry entry {i} must be an object with exactly "
+                                    f"the keys 'pattern' and 'ons_ip'")
+            pattern, ons_text = entry["pattern"], entry["ons_ip"]
+            if not isinstance(pattern, str) or not isinstance(ons_text, str):
+                raise RegistryError(f"registry entry {i} has non-string values")
+            ons_ip = ons_by_text.get(ons_text)
+            if ons_ip is None:
+                try:
+                    ons_ip = ons_by_text[ons_text] = parse_ipv6(ons_text)
+                except Ipv6TextError as exc:
+                    raise RegistryError(f"registry entry {i}: {exc}") from exc
+            # JSON gives exact strs and parse_ipv6 an exact Ipv6Address: no class check
+            append(trusted(pattern, ons_ip, _parse_pattern(pattern)))
+        return OnsRegistry(records)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def resolve(registry: OnsRegistry, epc: Epc) -> Ipv6Address:
     """ONS address of the most specific record matching the EPC."""
-    scheme = epc.scheme
-    if scheme in registry._company_schemes:
-        ons_ip = registry._index.get((scheme, company_prefix_of(epc)))
-        if ons_ip is not None:
-            return ons_ip
-    ons_ip = registry._fallback[scheme]
-    if ons_ip is None:
-        raise NoMatchError(f"no registry record matches {scheme.value} EPC")
-    return ons_ip
+    return registry.lookup(epc).ons_ip

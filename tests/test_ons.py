@@ -1,4 +1,6 @@
 import copy
+import gc
+import json
 import pickle
 
 import pytest
@@ -20,6 +22,7 @@ from epc_ipv6 import (
 from epc_ipv6.epc import SGTIN96_PARTITIONS
 from epc_ipv6.errors import (
     DuplicatePatternError,
+    Ipv6TextError,
     NoMatchError,
     RegistryError,
     WrongHeaderError,
@@ -128,6 +131,124 @@ class TestLoadRegistry:
         path.write_text("[" + "1" * digits + "]", encoding="utf-8")
         with pytest.raises(RegistryError, match=error):
             load_registry(path)
+
+
+def reference_load(entries):
+    """The per-entry loader of decoded registry JSON that the one-pass
+    load_registry replaced: each record through the public constructor, most
+    specific first by a stable sort."""
+    records = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != {"pattern", "ons_ip"}:
+            raise RegistryError(
+                f"registry entry {i} must be an object with exactly "
+                f"the keys 'pattern' and 'ons_ip'"
+            )
+        pattern, ons_text = entry["pattern"], entry["ons_ip"]
+        if not isinstance(pattern, str) or not isinstance(ons_text, str):
+            raise RegistryError(f"registry entry {i} has non-string values")
+        try:
+            ons_ip = parse_ipv6(ons_text)
+        except Ipv6TextError as exc:
+            raise RegistryError(f"registry entry {i}: {exc}") from exc
+        records.append(OnsRecord(pattern=pattern, ons_ip=ons_ip))
+    OnsRegistry(records)  # duplicate detection
+    return tuple(sorted(records, key=lambda record: record.key.count(None)))
+
+
+# valid and invalid patterns and ONS texts (one value written two ways)
+VALID_PATTERNS = ["*", "raw", "sgtin-96", "giai-96", "sgtin-96:0614141", "giai-96:0614141",
+                  "sgtin-96:123456789012"]
+ENTRY_PATTERNS = st.sampled_from(
+    VALID_PATTERNS
+    + ["nope-96", "sgtin-96:12x4", "sgtin-96:", "raw:0614141", "sgtin-96:06141", ""]
+)
+VALID_TEXTS = [A, B, "2001:0db8:0:0::a", "::1"]
+ONS_TEXTS = st.sampled_from(VALID_TEXTS + ["not-an-address", "fe80::1%eth0", "1:2:3", ""])
+NOT_STRINGS = st.one_of(st.none(), st.integers(-5, 5), st.lists(st.integers(0, 3), max_size=2))
+WELL_FORMED = st.fixed_dictionaries(
+    {"pattern": st.sampled_from(VALID_PATTERNS), "ons_ip": st.sampled_from(VALID_TEXTS)}
+)
+ANY_ENTRY = st.one_of(
+    WELL_FORMED,
+    st.fixed_dictionaries({"pattern": st.one_of(ENTRY_PATTERNS, NOT_STRINGS),
+                           "ons_ip": st.one_of(ONS_TEXTS, NOT_STRINGS)}),
+    st.fixed_dictionaries({"pattern": ENTRY_PATTERNS}),
+    st.fixed_dictionaries({"pattern": ENTRY_PATTERNS, "ons_ip": ONS_TEXTS,
+                           "extra": NOT_STRINGS}),
+    NOT_STRINGS,
+    ENTRY_PATTERNS,
+)
+# registries that load, registries with duplicates, and entry lists of any shape
+REGISTRY_ENTRIES = st.one_of(
+    st.lists(WELL_FORMED, unique_by=lambda entry: entry["pattern"], max_size=len(VALID_PATTERNS)),
+    st.lists(WELL_FORMED, max_size=8),
+    st.lists(ANY_ENTRY, max_size=8),
+)
+
+
+def outcome(load):
+    """The loaded records, or the class and message of the error."""
+    try:
+        return load()
+    except RegistryError as exc:
+        return exc.__class__, str(exc)
+
+
+class TestLoaderEquivalence:
+    @given(REGISTRY_ENTRIES)
+    def test_matches_reference_loader(self, tmp_path_factory, entries):
+        path = tmp_path_factory.getbasetemp() / "equivalence.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        expected = outcome(lambda: reference_load(entries))
+        assert outcome(lambda: load_registry(path).records) == expected
+
+    def test_records_naming_one_text_share_one_address(self, registry_file):
+        texts = [f"2001:db8::{n}" for n in range(1, 11)]
+        path = registry_file([{"pattern": f"sgtin-96:{n:07d}", "ons_ip": texts[n % 10]}
+                              for n in range(10**4)])
+        records = load_registry(path).records
+        assert len(records) == 10**4
+        assert len({id(record.ons_ip) for record in records}) == 10
+        assert {str(record.ons_ip) for record in records} == set(texts)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """The cyclic collector as the caller set it; restored after the test."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestLoadLeavesCollectorState:
+    def test_success(self, gc_state, wildcard_registry_path):
+        load_registry(wildcard_registry_path)
+        assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (None, RegistryError),  # no file
+            ("[{", RegistryError),
+            ('{"pattern": "*"}', RegistryError),
+            ('[{"pattern": "*"}]', RegistryError),
+            ('[{"pattern": "*", "ons_ip": "not-an-address"}]', RegistryError),
+            ('[{"pattern": "nope-96", "ons_ip": "::1"}]', RegistryError),
+            ('[{"pattern": "*", "ons_ip": "::1"}, {"pattern": "*", "ons_ip": "::2"}]',
+             DuplicatePatternError),
+        ],
+        ids=["unreadable", "bad-json", "non-array", "bad-entry", "bad-ons-text",
+             "bad-pattern", "duplicate"],
+    )
+    def test_each_registry_error(self, gc_state, tmp_path, content, error):
+        path = tmp_path / "registry.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(error):
+            load_registry(path)
+        assert gc.isenabled() is gc_state
 
 
 class TestResolve:
@@ -364,3 +485,21 @@ class TestResolveOracle:
                     resolve(registry, epc)
             else:
                 assert resolve(registry, epc) == expected
+
+    @given(
+        st.lists(st.sampled_from(PATTERNS), unique=True, max_size=len(PATTERNS)),
+        st.lists(epcs_with_company(), min_size=1, max_size=20),
+    )
+    def test_lookup_returns_least_record(self, patterns, epcs):
+        # the oracle's address is the winning record's input index + 1
+        records = [OnsRecord(pattern=pattern, ons_ip=Ipv6Address(index + 1))
+                   for index, pattern in enumerate(patterns)]
+        registry = OnsRegistry(records)
+        for epc, company in epcs:
+            expected = reference_resolve(patterns, epc, company)
+            if expected is None:
+                with pytest.raises(NoMatchError,
+                                   match=f"^no registry record matches {epc.scheme.value} EPC$"):
+                    registry.lookup(epc)
+            else:
+                assert registry.lookup(epc) is records[expected.value - 1]

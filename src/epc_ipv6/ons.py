@@ -5,13 +5,11 @@ objects. A pattern is a scheme name with an optional company-prefix
 literal (``"sgtin-96:0614141"``, ``"sgtin-96"``) or the wildcard ``"*"``.
 Patterns are parsed once, into dict keys; whatever the registry size,
 ``lookup`` probes scheme+company, then one per-scheme fallback table built
-with the registry (scheme record, else wildcard): the precedence. Records
-that name one ONS text in a file share one address.
+with the registry (scheme record, else wildcard): the precedence.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 from collections.abc import Iterable
@@ -119,11 +117,11 @@ class OnsRegistry(Frozen):
         return record
 
     def resolve(self, epc: Epc) -> Ipv6Address:
-        return resolve(self, epc)
+        return self.lookup(epc).ons_ip
 
 
-def _read_entries(path: str | os.PathLike[str]) -> list:
-    """The registry file's decoded JSON array; its text is freed on return."""
+def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
+    """Load and validate a registry file."""
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
@@ -136,40 +134,26 @@ def _read_entries(path: str | os.PathLike[str]) -> list:
         raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise RegistryError(f"registry {path} nests too deeply to load: {exc}") from exc
+    del text  # freed before the records are built
     if not isinstance(entries, list):
         raise RegistryError(f"registry {path} must be a JSON array of entries")
-    return entries
 
-
-def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
-    """Load and validate a registry file; records naming one ONS text share its address."""
-    entries = _read_entries(path)
-    ons_by_text: dict[str, Ipv6Address] = {}
     records = []
     append, trusted = records.append, OnsRecord._trusted
-    # records hold no cycles: the collector's passes over them would find nothing
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
-                raise RegistryError(f"registry entry {i} must be an object with exactly "
-                                    f"the keys 'pattern' and 'ons_ip'")
-            pattern, ons_text = entry["pattern"], entry["ons_ip"]
-            if not isinstance(pattern, str) or not isinstance(ons_text, str):
-                raise RegistryError(f"registry entry {i} has non-string values")
-            ons_ip = ons_by_text.get(ons_text)
-            if ons_ip is None:
-                try:
-                    ons_ip = ons_by_text[ons_text] = parse_ipv6(ons_text)
-                except Ipv6TextError as exc:
-                    raise RegistryError(f"registry entry {i}: {exc}") from exc
-            # JSON gives exact strs and parse_ipv6 an exact Ipv6Address: no class check
-            append(trusted(pattern, ons_ip, _parse_pattern(pattern)))
-        return OnsRegistry(records)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
+            raise RegistryError(f"registry entry {i} must be an object with exactly "
+                                f"the keys 'pattern' and 'ons_ip'")
+        pattern, ons_text = entry["pattern"], entry["ons_ip"]
+        if not isinstance(pattern, str) or not isinstance(ons_text, str):
+            raise RegistryError(f"registry entry {i} has non-string values")
+        try:
+            ons_ip = parse_ipv6(ons_text)
+        except Ipv6TextError as exc:
+            raise RegistryError(f"registry entry {i}: {exc}") from exc
+        # JSON gives exact strs and parse_ipv6 an exact Ipv6Address: no class check
+        append(trusted(pattern, ons_ip, _parse_pattern(pattern)))
+    return OnsRegistry(records)
 
 
 def resolve(registry: OnsRegistry, epc: Epc) -> Ipv6Address:

@@ -1,5 +1,4 @@
 import copy
-import gc
 import json
 import pickle
 
@@ -202,53 +201,6 @@ class TestLoaderEquivalence:
         path.write_text(json.dumps(entries), encoding="utf-8")
         expected = outcome(lambda: reference_load(entries))
         assert outcome(lambda: load_registry(path).records) == expected
-
-    def test_records_naming_one_text_share_one_address(self, registry_file):
-        texts = [f"2001:db8::{n}" for n in range(1, 11)]
-        path = registry_file([{"pattern": f"sgtin-96:{n:07d}", "ons_ip": texts[n % 10]}
-                              for n in range(10**4)])
-        records = load_registry(path).records
-        assert len(records) == 10**4
-        assert len({id(record.ons_ip) for record in records}) == 10
-        assert {str(record.ons_ip) for record in records} == set(texts)
-
-
-@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
-def gc_state(request):
-    """The cyclic collector as the caller set it; restored after the test."""
-    was_enabled = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was_enabled else gc.disable)()
-
-
-class TestLoadLeavesCollectorState:
-    def test_success(self, gc_state, wildcard_registry_path):
-        load_registry(wildcard_registry_path)
-        assert gc.isenabled() is gc_state
-
-    @pytest.mark.parametrize(
-        "content, error",
-        [
-            (None, RegistryError),  # no file
-            ("[{", RegistryError),
-            ('{"pattern": "*"}', RegistryError),
-            ('[{"pattern": "*"}]', RegistryError),
-            ('[{"pattern": "*", "ons_ip": "not-an-address"}]', RegistryError),
-            ('[{"pattern": "nope-96", "ons_ip": "::1"}]', RegistryError),
-            ('[{"pattern": "*", "ons_ip": "::1"}, {"pattern": "*", "ons_ip": "::2"}]',
-             DuplicatePatternError),
-        ],
-        ids=["unreadable", "bad-json", "non-array", "bad-entry", "bad-ons-text",
-             "bad-pattern", "duplicate"],
-    )
-    def test_each_registry_error(self, gc_state, tmp_path, content, error):
-        path = tmp_path / "registry.json"
-        if content is not None:
-            path.write_text(content, encoding="utf-8")
-        with pytest.raises(error):
-            load_registry(path)
-        assert gc.isenabled() is gc_state
 
 
 class TestResolve:

@@ -3,8 +3,10 @@
 Populations are generated from a seed with the stdlib Mersenne Twister, so
 equal specs give byte-identical populations on every platform. An SGTIN-96
 field below ``n`` is ``getrandbits(n.bit_length())`` drawn until below ``n``,
-as ``randrange(n)`` draws on CPython 3.10-3.13, without depending on
-``randrange``, whose draws the Python docs do not promise to keep. ``compare``
+as ``randrange(n)`` draws on CPython 3.10-3.13, and distinct serials are the
+list ``sample(range(2**width), count)`` returns there, drawn the same way;
+neither depends on ``randrange`` or ``sample``, whose draws the Python docs
+do not promise to keep. ``compare``
 resolves a population once and reports each method over it; ``evaluate``
 is ``compare`` of one method. Reports are deterministic for equal inputs
 except for the timing block, which measures wall-clock derivation cost
@@ -44,15 +46,24 @@ _GROUP_EXAMPLES = 4
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Recipe for a deterministic population of distinct EPCs."""
+    """Recipe for a deterministic population of distinct EPCs.
+
+    ``serials_per_class`` K, for SGTIN-96 only, gives the population in
+    distinct classes (partition, filter, company prefix, item reference)
+    of K distinct serials each, so serials repeat across classes; the last
+    class holds the ``count % K`` members left over, when that is not 0.
+    Unset, serials are distinct across the whole population.
+    """
 
     scheme: EpcScheme
     count: int
     seed: int
     serial_width_bits: int | None = None
+    serials_per_class: int | None = None
 
     def __post_init__(self):
-        self._check(self.scheme, self.count, self.seed, self.serial_width_bits)
+        self._check(self.scheme, self.count, self.seed, self.serial_width_bits,
+                    self.serials_per_class)
         if self.count < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
         if not 0 <= self.seed < 1 << 64:
@@ -61,6 +72,14 @@ class PopulationSpec:
             raise ValueError(
                 f"serial_width_bits {self.serial_width_bits} outside 1..256"
             )
+        if self.serials_per_class is not None:
+            if self.scheme is not EpcScheme.SGTIN96:
+                raise ValueError(f"serials_per_class applies to sgtin-96 only, "
+                                 f"not {self.scheme.value}")
+            if self.serials_per_class < 1:
+                raise ValueError(
+                    f"serials_per_class must be at least 1, got {self.serials_per_class}"
+                )
 
     @property
     def effective_serial_bits(self) -> int:
@@ -159,19 +178,45 @@ class NotApplicable:
 
 
 def _distinct_serials(rng: random.Random, width: int, count: int) -> list[int]:
-    """``count`` distinct integers below 2**width, deterministic in the seed."""
+    """``count`` distinct integers below 2**width, deterministic in the seed.
+
+    Up to 48 bits this is the list ``rng.sample(range(2**width), count)``
+    returns on CPython 3.10-3.13, from the same draws. Where sample would draw
+    from a pool list, it is called; where it keeps a set of drawn indices,
+    its draws are made here: ``getrandbits(width + 1)``, again while the draw
+    is out of range or already drawn. The list keeps the drawn int itself, not
+    a second one read from the range. Wider, a draw is ``getrandbits(width)``,
+    again while already drawn.
+    """
     space = 1 << width
     if count > space:
         raise UnsatisfiableSpecError(
             f"cannot draw {count} distinct values from a {width}-bit space"
         )
-    if width <= 48:
+    # sample's own test: a pool list when it is no larger than the set would be
+    setsize = 21
+    if count > 5:
+        setsize += 4 ** math.ceil(math.log(count * 3, 4))
+    if space <= setsize:
         return rng.sample(range(space), count)
-    # a space of 2**49 or more: repeats are rare, and a dict keeps first-draw order
-    drawn: dict[int, None] = {}
-    while len(drawn) < count:
-        drawn[rng.getrandbits(width)] = None
-    return list(drawn)
+    getrandbits = rng.getrandbits
+    bits = width + 1 if width <= 48 else width
+    selected: set[int] = set()
+    add = selected.add
+    serials: list[int] = []
+    append = serials.append
+    for _ in range(count):
+        while (j := getrandbits(bits)) >= space or j in selected:
+            pass
+        add(j)
+        append(j)
+    return serials
+
+
+# per partition: company prefix and item reference bounds, each with its bits
+_FIELD_BOUNDS = [(10**c, (10**c).bit_length(), 10**i, (10**i).bit_length())
+                 for _, c, _, i in SGTIN96_PARTITIONS.values()]
+_PARTITION_BITS, _FILTER_BITS = (7).bit_length(), (8).bit_length()
 
 
 def generate_population(spec: PopulationSpec) -> list[Epc]:
@@ -182,6 +227,8 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
     """
     rng = random.Random(spec.seed)
     width = spec.effective_serial_bits
+    if spec.serials_per_class is not None:
+        return _classed_population(rng, width, spec.count, spec.serials_per_class)
     serials = _distinct_serials(rng, width, spec.count)
     trusted = Epc._trusted
 
@@ -190,10 +237,8 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
         return [trusted(EpcScheme.RAW, width, v, v, None) for v in serials]
     if spec.scheme is EpcScheme.SGTIN96:
         getrandbits = rng.getrandbits
-        partition_bits, filter_bits = (7).bit_length(), (8).bit_length()
-        # per partition: company prefix and item reference bounds, each with its bits
-        bounds = [(10**c, (10**c).bit_length(), 10**i, (10**i).bit_length())
-                  for _, c, _, i in SGTIN96_PARTITIONS.values()]
+        partition_bits, filter_bits = _PARTITION_BITS, _FILTER_BITS
+        bounds = _FIELD_BOUNDS
         population = []
         for serial in serials:
             # draw order, which the populations depend on: partition, filter,
@@ -213,6 +258,36 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
     # serial-only schemes: no binary codec, the serial is all that matters;
     # width is at most the scheme's serial field
     return [trusted(spec.scheme, 96, None, serial, None) for serial in serials]
+
+
+def _classed_population(rng: random.Random, width: int, count: int,
+                        per_class: int) -> list[Epc]:
+    """SGTIN-96 members class by class: a class's fields, drawn as a default
+    member's are and again while equal to an earlier class's, then its
+    ``per_class`` distinct serials, or the ``count % per_class`` left over."""
+    getrandbits = rng.getrandbits
+    trusted = Epc._trusted
+    classes: set[int] = set()
+    population = []
+    for start in range(0, count, per_class):
+        while True:
+            while (partition := getrandbits(_PARTITION_BITS)) >= 7:
+                pass
+            while (filter_value := getrandbits(_FILTER_BITS)) >= 8:
+                pass
+            company_bound, company_bits, item_bound, item_bits = _FIELD_BOUNDS[partition]
+            while (company := getrandbits(company_bits)) >= company_bound:
+                pass
+            while (item := getrandbits(item_bits)) >= item_bound:
+                pass
+            # the class's members are this value with their serial in its low bits
+            base = pack_sgtin96(filter_value, partition, company, item, 0)
+            if base not in classes:
+                break
+        classes.add(base)
+        for serial in _distinct_serials(rng, width, min(per_class, count - start)):
+            population.append(trusted(EpcScheme.SGTIN96, 96, base | serial, serial, None))
+    return population
 
 
 def evaluate(
@@ -353,8 +428,11 @@ def render(spec: PopulationSpec, rows: list[BenchReport | NotApplicable],
     """
     if not structured:
         return "\n".join([CSV_HEADER] + [row.csv_row() for row in rows]) + "\n"
+    population = asdict(spec)
+    if spec.serials_per_class is None:
+        del population["serials_per_class"]  # unset, the block keeps its earlier keys only
     payload = {
-        "population": asdict(spec),
+        "population": population,
         "reports": [row.to_dict() for row in rows if isinstance(row, BenchReport)],
     }
     skipped = [row.to_dict() for row in rows if isinstance(row, NotApplicable)]

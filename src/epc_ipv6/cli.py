@@ -186,6 +186,7 @@ def cmd_bench(args, config: argparse.Namespace) -> int:
             count=args.count,
             seed=args.seed,
             serial_width_bits=args.serial_width_bits,
+            serials_per_class=args.serials_per_class,
         )
         population = generate_population(spec)
     except (UnsatisfiableSpecError, ValueError) as exc:
@@ -270,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--count", type=int, default=1000)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--serial-width-bits", type=int, default=None)
+    bench.add_argument("--serials-per-class", type=int, help="sgtin-96: K serials per class")
     bench.add_argument("--methods", type=_methods_list, default=_METHOD_NAMES,
                        help="comma-separated method ids (default: all)")
     bench.add_argument("--salt", type=_salt_arg, default=0)

@@ -141,6 +141,7 @@ def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
     records = []
     append, trusted = records.append, OnsRecord._trusted
     for i, entry in enumerate(entries):
+        entries[i] = None  # each decoded entry is freed once its record is built
         if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
             raise RegistryError(f"registry entry {i} must be an object with exactly "
                                 f"the keys 'pattern' and 'ons_ip'")

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import pickle
 import random
 from itertools import combinations
@@ -39,11 +40,12 @@ def wildcard_registry(wildcard_registry_path):
 
 
 def reference_sgtin_population(spec):
-    """The SGTIN-96 population as first generated, on ``randrange``: the
-    reference the rejection draws on ``getrandbits`` must reproduce."""
+    """The SGTIN-96 population as first generated, on ``sample`` and
+    ``randrange``: the reference the inline draws on ``getrandbits`` must
+    reproduce."""
     rng = random.Random(spec.seed)
     width = spec.effective_serial_bits
-    serials = bench._distinct_serials(rng, width, spec.count)
+    serials = rng.sample(range(1 << width), spec.count)
     trusted = Epc._trusted
     randrange = rng.randrange
     # per partition: draw bounds of the company prefix and item reference
@@ -59,6 +61,168 @@ def reference_sgtin_population(spec):
         )
         population.append(trusted(EpcScheme.SGTIN96, 96, value, serial, None))
     return population
+
+
+def reference_classed_population(spec):
+    """The per-class SGTIN-96 population on ``randrange`` and ``sample``: per
+    class, partition, filter, company prefix and item reference (a class
+    drawn before is drawn again), then that class's serials."""
+    rng = random.Random(spec.seed)
+    randrange = rng.randrange
+    bounds = [(10**row[1], 10**row[3]) for row in SGTIN96_PARTITIONS.values()]
+    classes = set()
+    population = []
+    for start in range(0, spec.count, spec.serials_per_class):
+        while True:
+            partition = randrange(7)
+            filter_value = randrange(8)
+            company_bound, item_bound = bounds[partition]
+            fields = (filter_value, partition, randrange(company_bound), randrange(item_bound))
+            if fields not in classes:
+                break
+        classes.add(fields)
+        size = min(spec.serials_per_class, spec.count - start)
+        for serial in rng.sample(range(1 << spec.effective_serial_bits), size):
+            population.append(Epc._trusted(
+                EpcScheme.SGTIN96, 96, pack_sgtin96(*fields, serial), serial, None))
+    return population
+
+
+def dict_loop_serials(rng, width, count):
+    """Serials wider than 48 bits as first drawn: ``getrandbits(width)`` into an
+    insertion-ordered dict until it holds ``count``."""
+    drawn = {}
+    while len(drawn) < count:
+        drawn[rng.getrandbits(width)] = None
+    return list(drawn)
+
+
+def sample_takes_pool(space, count):
+    """Whether ``random.sample`` draws ``count`` of ``range(space)`` from a pool list."""
+    setsize = 21
+    if count > 5:
+        setsize += 4 ** math.ceil(math.log(count * 3, 4))
+    return space <= setsize
+
+
+@st.composite
+def width_and_count(draw):
+    """A width of 1..48 bits and a count: any up to 400, or one within 3 of the
+    least count ``sample`` draws from its pool at that width, when that count
+    is at most 20000."""
+    width = draw(st.integers(1, 48))
+    space = 1 << width
+    # the least count drawn from a pool; sample_takes_pool is monotone in the count
+    lo, hi = 1, min(space, 20_000) + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if sample_takes_pool(space, mid) else (mid + 1, hi)
+    near = st.integers(max(1, lo - 3), min(space, lo + 3)) if lo <= 20_000 else st.nothing()
+    return width, draw(st.integers(1, min(space, 400)) | near)
+
+
+class TestDistinctSerials:
+    @given(st.integers(0, 2**64 - 1), width_and_count())
+    def test_matches_sample(self, seed, width_and_count):
+        width, count = width_and_count
+        assert bench._distinct_serials(random.Random(seed), width, count) == (
+            random.Random(seed).sample(range(1 << width), count)
+        )
+
+    @given(st.integers(0, 2**64 - 1), st.integers(49, 256), st.integers(1, 300))
+    def test_matches_dict_loop_above_48_bits(self, seed, width, count):
+        assert bench._distinct_serials(random.Random(seed), width, count) == (
+            dict_loop_serials(random.Random(seed), width, count)
+        )
+
+    @pytest.mark.parametrize("width, count, pool", [
+        (4, 1, True), (5, 5, False), (5, 6, True), (10, 85, False), (10, 86, True),
+        (20, 100_000, True), (38, 100_000, False),
+    ])
+    def test_both_sides_of_the_pool_switch(self, width, count, pool):
+        # pins where sample switches, which the property samples around
+        assert sample_takes_pool(1 << width, count) is pool
+        assert bench._distinct_serials(random.Random(3), width, count) == (
+            random.Random(3).sample(range(1 << width), count)
+        )
+
+    def test_rng_left_where_sample_leaves_it(self):
+        # the draws that follow continue the same stream
+        rng, reference = random.Random(8), random.Random(8)
+        bench._distinct_serials(rng, 38, 1000)
+        reference.sample(range(1 << 38), 1000)
+        assert rng.getrandbits(64) == reference.getrandbits(64)
+
+
+class TestSerialsPerClass:
+    @staticmethod
+    def _spec(count=1000, per_class=100, width=None, seed=42):
+        return PopulationSpec(scheme=EpcScheme.SGTIN96, count=count, seed=seed,
+                              serial_width_bits=width, serials_per_class=per_class)
+
+    def test_population_pinned(self):
+        # ten classes of 100 serials below 128; the draw order is class, then serials
+        spec = self._spec(width=7)
+        packed = b"".join(e.value.to_bytes(12, "big") for e in generate_population(spec))
+        assert hashlib.sha256(packed).hexdigest() == (
+            "36928b558788fae1c37ea4cbf5647b6b2beda8c9229c2aafd2951b3c261bd81b"
+        )
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=38)),
+        st.integers(min_value=1, max_value=50),
+        st.data(),
+    )
+    def test_matches_reference(self, seed, width, per_class, data):
+        count = data.draw(st.integers(1, 300))
+        spec = self._spec(count, min(per_class, 2**(width or 38)), width, seed)
+        assert generate_population(spec) == reference_classed_population(spec)
+
+    def test_distinct_classes_of_k_distinct_serials(self):
+        # 1050 = 10 classes of 100 and a last class of the remaining 50
+        population = generate_population(self._spec(count=1050, width=7))
+        classes: dict[int, list[int]] = {}
+        for epc in population:
+            classes.setdefault(epc.value >> 38, []).append(epc.serial_number)
+        assert [len(serials) for serials in classes.values()] == [100] * 10 + [50]
+        assert all(len(set(serials)) == len(serials) for serials in classes.values())
+        assert all(serial < 128 for serials in classes.values() for serial in serials)
+        # members come class by class
+        assert [epc.value >> 38 for epc in population] == [
+            key for key, serials in classes.items() for _ in serials
+        ]
+        # serials repeat across classes, so hybrid_ons collides under one ONS address
+        assert len({epc.serial_number for epc in population}) <= 128
+
+    @pytest.mark.parametrize("scheme", [EpcScheme.RAW, EpcScheme.GIAI96, EpcScheme.SGLN96])
+    def test_other_schemes_refused(self, scheme):
+        with pytest.raises(ValueError, match="serials_per_class applies to sgtin-96 only"):
+            PopulationSpec(scheme=scheme, count=10, seed=0, serials_per_class=5)
+
+    @pytest.mark.parametrize("per_class", [0, -3])
+    def test_k_below_one_refused(self, per_class):
+        with pytest.raises(ValueError, match=f"serials_per_class must be at least 1, "
+                                             f"got {per_class}"):
+            self._spec(per_class=per_class)
+
+    @pytest.mark.parametrize("per_class", [5.0, True, "5"])
+    def test_field_class_checked(self, per_class):
+        with pytest.raises(ValueError, match=r"serials_per_class must be int \| None, got "):
+            self._spec(per_class=per_class)
+
+    def test_more_serials_than_the_width_holds(self):
+        with pytest.raises(UnsatisfiableSpecError, match="cannot draw 200 distinct values "
+                                                         "from a 7-bit space"):
+            generate_population(self._spec(count=1000, per_class=200, width=7))
+
+    def test_render_names_the_key_only_when_set(self):
+        unset = PopulationSpec(scheme=EpcScheme.SGTIN96, count=10, seed=1)
+        assert "serials_per_class" not in json.loads(bench.render(unset, [], True))[
+            "population"]
+        block = json.loads(bench.render(self._spec(count=10, per_class=5), [], True))[
+            "population"]
+        assert block["serials_per_class"] == 5
 
 
 class TestGeneratePopulation:

@@ -455,8 +455,14 @@ class TestBenchCounts:
               "--serial-width-bits", "12"],
              {"hybrid_ons": (2361, 1037), "one_pad_serial": (1730, 2251)},
              SERIAL_ONLY_NOT_APPLICABLE),
+            # 200 SGTIN-96 classes of 100 serials below 128: hybrid_ons collides
+            (["--count", "20000", "--seed", "7", "--serials-per-class", "100",
+              "--serial-width-bits", "7"],
+             {"hybrid_ons": (96, 3084061), "xor_pad": (20000, 0), "or_pad": (20000, 0),
+              "one_pad_serial": (64, 4641120), "iso_epc": (20000, 0)},
+             [("direct64", "EpcTooWideError")]),
         ],
-        ids=["raw", "giai-96", "sgln-96"],
+        ids=["raw", "giai-96", "sgln-96", "sgtin-96-per-class"],
     )
     def test_counts(self, capsys, wildcard_registry_path, argv, counts, not_applicable):
         code = main(["bench", "--registry", str(wildcard_registry_path),
@@ -623,6 +629,11 @@ class TestFailureMatrix:
         (["resolve", "0x1", "--registry", "longnum.json"], EXIT_RESOLVE,
          "resolve: RegistryError: registry longnum.json is not valid JSON: "
          "integer of 5000 characters exceeds 4300"),
+        (["bench", "--registry", "r.json", "--serials-per-class", "0"], EXIT_USAGE,
+         "usage: population spec: serials_per_class must be at least 1, got 0"),
+        (["bench", "--registry", "r.json", "--scheme", "giai-96", "--serials-per-class", "5"],
+         EXIT_USAGE, "usage: population spec: serials_per_class applies to sgtin-96 only, "
+         "not giai-96"),
     ]
 
     @pytest.mark.parametrize("argv, code, err", COMMAND_FAILURES)

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +131,24 @@ class TestLoadRegistry:
         path.write_text("[" + "1" * digits + "]", encoding="utf-8")
         with pytest.raises(RegistryError, match=error):
             load_registry(path)
+
+    def test_peak_close_to_what_the_registry_keeps(self, registry_file):
+        # each decoded entry is freed once its record is built, so the load
+        # never holds every entry and every record at once
+        path = registry_file([
+            {"pattern": f"sgtin-96:{company}",
+             "ons_ip": f"2001:db8:{company >> 16:x}:{company & 0xFFFF:x}::1"}
+            for company in range(1_000_000, 1_010_000)
+        ])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            registry = load_registry(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(registry.records) == 10_000
+        assert peak - start <= 1.4 * (kept - start)
 
 
 def reference_load(entries):

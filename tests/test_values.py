@@ -220,7 +220,8 @@ VALID_ARGS = {
     **{cls: (args, set(), set()) for cls, args, *_ in CASES.values()},
     Epc: (CASES["Epc"][1], {"value", "serial_number", "uri"}, {"uri"}),
     OnsRecord: (CASES["OnsRecord"][1], set(), {"pattern"}),
-    PopulationSpec: ((EpcScheme.RAW, 10, 7, None), {"serial_width_bits"}, set()),
+    PopulationSpec: ((EpcScheme.RAW, 10, 7, None, None), {"serial_width_bits", "serials_per_class"},
+                     set()),
 }
 
 

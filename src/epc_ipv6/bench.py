@@ -5,12 +5,13 @@ equal specs give byte-identical populations on every platform. An SGTIN-96
 field below ``n`` is ``getrandbits(n.bit_length())`` drawn until below ``n``,
 as ``randrange(n)`` draws on CPython 3.10-3.13, and distinct serials are the
 list ``sample(range(2**width), count)`` returns there, drawn the same way;
-neither depends on ``randrange`` or ``sample``, whose draws the Python docs
-do not promise to keep. ``compare``
-resolves a population once and reports each method over it; ``evaluate``
-is ``compare`` of one method. Reports are deterministic for equal inputs
-except for the timing block, which measures wall-clock derivation cost
-only (registry resolution happens beforehand).
+neither depends on ``randrange`` or ``sample``, whose draws the Python docs do
+not promise to keep. Both population modes draw each SGTIN-96 class through
+one routine: a default member is one class draw plus its serial. ``compare``
+resolves a population once and reports each method over it; ``evaluate`` is
+``compare`` of one method. Reports are deterministic for equal inputs except
+for the timing block, which measures wall-clock derivation cost only (registry
+resolution happens beforehand).
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class PopulationSpec:
     distinct classes (partition, filter, company prefix, item reference)
     of K distinct serials each, so serials repeat across classes; the last
     class holds the ``count % K`` members left over, when that is not 0.
-    Unset, serials are distinct across the whole population.
+    Unset, an SGTIN-96 member is one class draw plus a serial distinct
+    across the population. Both modes draw each class through one routine.
     """
 
     scheme: EpcScheme
@@ -219,6 +221,22 @@ _FIELD_BOUNDS = [(10**c, (10**c).bit_length(), 10**i, (10**i).bit_length())
 _PARTITION_BITS, _FILTER_BITS = (7).bit_length(), (8).bit_length()
 
 
+def _sgtin96_class(getrandbits, serial: int) -> int:
+    """The SGTIN-96 value with ``serial`` in a newly drawn class, 0 giving the
+    class itself; the class's fields are drawn in range in the order every
+    population depends on: partition, filter, company prefix, item reference."""
+    while (partition := getrandbits(_PARTITION_BITS)) >= 7:
+        pass
+    while (filter_value := getrandbits(_FILTER_BITS)) >= 8:
+        pass
+    company_bound, company_bits, item_bound, item_bits = _FIELD_BOUNDS[partition]
+    while (company := getrandbits(company_bits)) >= company_bound:
+        pass
+    while (item := getrandbits(item_bits)) >= item_bound:
+        pass
+    return pack_sgtin96(filter_value, partition, company, item, serial)
+
+
 def generate_population(spec: PopulationSpec) -> list[Epc]:
     """Distinct EPCs for the spec; identical lists for identical specs.
 
@@ -227,67 +245,29 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
     """
     rng = random.Random(spec.seed)
     width = spec.effective_serial_bits
-    if spec.serials_per_class is not None:
-        return _classed_population(rng, width, spec.count, spec.serials_per_class)
-    serials = _distinct_serials(rng, width, spec.count)
     trusted = Epc._trusted
-
+    getrandbits = rng.getrandbits
+    if spec.serials_per_class is not None:
+        count, per_class = spec.count, spec.serials_per_class
+        classes: set[int] = set()
+        population = []
+        for start in range(0, count, per_class):
+            while (base := _sgtin96_class(getrandbits, 0)) in classes:
+                pass
+            classes.add(base)
+            for serial in _distinct_serials(rng, width, min(per_class, count - start)):
+                population.append(trusted(EpcScheme.SGTIN96, 96, base | serial, serial, None))
+        return population
+    serials = _distinct_serials(rng, width, spec.count)
     if spec.scheme is EpcScheme.RAW:
         # a raw code is its own serial number; width is 1..64
         return [trusted(EpcScheme.RAW, width, v, v, None) for v in serials]
     if spec.scheme is EpcScheme.SGTIN96:
-        getrandbits = rng.getrandbits
-        partition_bits, filter_bits = _PARTITION_BITS, _FILTER_BITS
-        bounds = _FIELD_BOUNDS
-        population = []
-        for serial in serials:
-            # draw order, which the populations depend on: partition, filter,
-            # company prefix, item reference
-            while (partition := getrandbits(partition_bits)) >= 7:
-                pass
-            while (filter_value := getrandbits(filter_bits)) >= 8:
-                pass
-            company_bound, company_bits, item_bound, item_bits = bounds[partition]
-            while (company := getrandbits(company_bits)) >= company_bound:
-                pass
-            while (item := getrandbits(item_bits)) >= item_bound:
-                pass
-            value = pack_sgtin96(filter_value, partition, company, item, serial)
-            population.append(trusted(EpcScheme.SGTIN96, 96, value, serial, None))
-        return population
+        return [trusted(EpcScheme.SGTIN96, 96, _sgtin96_class(getrandbits, serial), serial,
+                        None) for serial in serials]
     # serial-only schemes: no binary codec, the serial is all that matters;
     # width is at most the scheme's serial field
     return [trusted(spec.scheme, 96, None, serial, None) for serial in serials]
-
-
-def _classed_population(rng: random.Random, width: int, count: int,
-                        per_class: int) -> list[Epc]:
-    """SGTIN-96 members class by class: a class's fields, drawn as a default
-    member's are and again while equal to an earlier class's, then its
-    ``per_class`` distinct serials, or the ``count % per_class`` left over."""
-    getrandbits = rng.getrandbits
-    trusted = Epc._trusted
-    classes: set[int] = set()
-    population = []
-    for start in range(0, count, per_class):
-        while True:
-            while (partition := getrandbits(_PARTITION_BITS)) >= 7:
-                pass
-            while (filter_value := getrandbits(_FILTER_BITS)) >= 8:
-                pass
-            company_bound, company_bits, item_bound, item_bits = _FIELD_BOUNDS[partition]
-            while (company := getrandbits(company_bits)) >= company_bound:
-                pass
-            while (item := getrandbits(item_bits)) >= item_bound:
-                pass
-            # the class's members are this value with their serial in its low bits
-            base = pack_sgtin96(filter_value, partition, company, item, 0)
-            if base not in classes:
-                break
-        classes.add(base)
-        for serial in _distinct_serials(rng, width, min(per_class, count - start)):
-            population.append(trusted(EpcScheme.SGTIN96, 96, base | serial, serial, None))
-    return population
 
 
 def evaluate(

@@ -195,6 +195,14 @@ class TestSerialsPerClass:
         # serials repeat across classes, so hybrid_ons collides under one ONS address
         assert len({epc.serial_number for epc in population}) <= 128
 
+    def test_a_repeated_class_is_drawn_again(self, monkeypatch):
+        # a seeded population all but never repeats a class: script the draws A, A, B
+        a, b = (pack_sgtin96(3, 5, 614141, item, 0) for item in (812345, 812346))
+        draws = iter([a, a, b])
+        monkeypatch.setattr(bench, "_sgtin96_class", lambda getrandbits, serial: next(draws))
+        population = generate_population(self._spec(count=4, per_class=2, width=7))
+        assert [epc.value >> 38 for epc in population] == [a >> 38] * 2 + [b >> 38] * 2
+
     @pytest.mark.parametrize("scheme", [EpcScheme.RAW, EpcScheme.GIAI96, EpcScheme.SGLN96])
     def test_other_schemes_refused(self, scheme):
         with pytest.raises(ValueError, match="serials_per_class applies to sgtin-96 only"):

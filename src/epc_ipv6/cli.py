@@ -24,7 +24,7 @@ from .errors import (
     TagUriError,
     UnsatisfiableSpecError,
 )
-from .ipv6 import Ipv6Address, parse_ipv6
+from .ipv6 import parse_ipv6
 from .ons import OnsRegistry, _parse_int, load_registry
 
 EXIT_OK = 0
@@ -117,18 +117,9 @@ def _epc_from_arg(text: str) -> Epc:
         raise TagUriError(f"{text!r} is neither a tag URI nor a number")
     if value >= 1 << 256:
         raise FieldRangeError(f"EPC value {text!r} outside 0..2^256")
-    # a bare number is its own serial, per the raw-scheme convention
-    return Epc(EpcScheme.RAW, bit_length(value), value, value)
-
-
-def _ons_address(args, config: argparse.Namespace, epc: Epc) -> Ipv6Address:
-    """Single ONS source: --ons literal, or --registry / config lookup."""
-    if args.ons is not None and args.registry is not None:
-        raise CliError("usage", "give exactly one of --ons and --registry")
-    if args.ons is not None:
-        return parse_ipv6(args.ons)
-    missing = "an ONS source is required: --ons, --registry, or config"
-    return _registry(args, config, missing).resolve(epc)
+    # a bare number is its own serial, per the raw-scheme convention; _number
+    # and the test above have proven 0 <= value < 2**256
+    return Epc._trusted(EpcScheme.RAW, bit_length(value), value, value, None)
 
 
 def _registry(args, config: argparse.Namespace, missing_message: str) -> OnsRegistry:
@@ -141,9 +132,15 @@ def _registry(args, config: argparse.Namespace, missing_message: str) -> OnsRegi
 
 def cmd_derive(args, config: argparse.Namespace) -> int:
     epc = _epc_from_arg(args.epc)
-    ons = _ons_address(args, config, epc)
+    if args.ons is not None and args.registry is not None:
+        raise CliError("usage", "give exactly one of --ons and --registry")
+    if args.ons is not None:
+        ons = parse_ipv6(args.ons)
+    else:
+        missing = "an ONS source is required: --ons, --registry, or config"
+        ons = _registry(args, config, missing).resolve(epc)
     method = AddressingMethodId(args.method or config.default_method)
-    derive = method_function(method, salt=args.salt, standard=TagStandard(args.standard))
+    derive = method_function(method, salt=args.salt, standard=args.standard)
     print(derive(epc, ons))
     return EXIT_OK
 
@@ -157,7 +154,7 @@ def cmd_parse(args, config: argparse.Namespace) -> int:
         "serial_number": epc.serial_number,
         "uri": epc.uri,
     }
-    if _output_format(args, config) == "structured":
+    if (args.format or config.output_format) == "structured":
         print(json.dumps(fields, indent=2))
     else:
         for key, value in fields.items():
@@ -168,7 +165,7 @@ def cmd_parse(args, config: argparse.Namespace) -> int:
 def cmd_resolve(args, config: argparse.Namespace) -> int:
     epc = _epc_from_arg(args.uri)
     address = _registry(args, config, _REGISTRY_REQUIRED).resolve(epc)
-    if _output_format(args, config) == "structured":
+    if (args.format or config.output_format) == "structured":
         print(json.dumps({"ons_ip": str(address)}))
     else:
         print(address)
@@ -192,12 +189,11 @@ def cmd_bench(args, config: argparse.Namespace) -> int:
     except (UnsatisfiableSpecError, ValueError) as exc:
         raise CliError("usage", f"population spec: {exc}") from exc
 
-    methods = [AddressingMethodId(name) for name in args.methods]
-    rows = compare(methods, population, registry, args.salt, args.standard)
+    rows = compare(args.methods, population, registry, args.salt, args.standard)
     for row in rows:
         if isinstance(row, NotApplicable):
             print(f"bench: {row}", file=sys.stderr)
-    output = render(spec, rows, _output_format(args, config) == "structured")
+    output = render(spec, rows, (args.format or config.output_format) == "structured")
 
     if args.out:
         try:
@@ -210,10 +206,6 @@ def cmd_bench(args, config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _output_format(args, config: argparse.Namespace) -> str:
-    return getattr(args, "format", None) or config.output_format
-
-
 def _salt_arg(text: str) -> int:
     value = _number(text)
     if value is None:
@@ -223,7 +215,7 @@ def _salt_arg(text: str) -> int:
     return value
 
 
-def _methods_list(text: str) -> list[str]:
+def _methods_list(text: str) -> list[AddressingMethodId]:
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise argparse.ArgumentTypeError("empty method list")
@@ -232,7 +224,7 @@ def _methods_list(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown method {name!r}; choose from {', '.join(_METHOD_NAMES)}"
             )
-    return names
+    return [AddressingMethodId(name) for name in names]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--serial-width-bits", type=int, default=None)
     bench.add_argument("--serials-per-class", type=int, help="sgtin-96: K serials per class")
-    bench.add_argument("--methods", type=_methods_list, default=_METHOD_NAMES,
+    bench.add_argument("--methods", type=_methods_list, default=list(AddressingMethodId),
                        help="comma-separated method ids (default: all)")
     bench.add_argument("--salt", type=_salt_arg, default=0)
     bench.add_argument("--standard", choices=[s.value for s in TagStandard],
@@ -290,11 +282,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config()
         code = args.handler(args, config)
-        sys.stdout.flush()  # a closed stdout raises only when its buffer is written
+        sys.stdout.flush()  # a stdout write fails only when its buffer is written
         return code
-    except (CliError, EpcIpv6Error, BrokenPipeError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            # the interpreter flushes stdout again at exit; that write goes nowhere
+    except (CliError, EpcIpv6Error, OSError) as exc:
+        if isinstance(exc, OSError):
+            # a failed stdout write (a closed pipe, a full device): load_registry,
+            # load_config and bench's --out turn every other OSError a command can
+            # meet into their own errors. The interpreter flushes stdout again at
+            # exit; that write goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
             exc = CliError("output", f"{type(exc).__name__}: {exc}")
         # a CliError's or EvaluationError's text already starts with its stage

@@ -122,19 +122,17 @@ class OnsRegistry(Frozen):
 
 def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
     """Load and validate a registry file."""
+    # ValueError: not JSON, or an over-long number (a UnicodeDecodeError, caught
+    # first, is one too); json.load frees the text before the records are built
     try:
         with open(path, encoding="utf-8") as file:
-            text = file.read()
+            entries = json.load(file, parse_int=_parse_int)
     except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read registry {path}: {exc}") from exc
-    # ValueError: not JSON (JSONDecodeError), or an over-long number
-    try:
-        entries = json.loads(text, parse_int=_parse_int)
     except ValueError as exc:
         raise RegistryError(f"registry {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise RegistryError(f"registry {path} nests too deeply to load: {exc}") from exc
-    del text  # freed before the records are built
     if not isinstance(entries, list):
         raise RegistryError(f"registry {path} must be a JSON array of entries")
 

@@ -797,6 +797,37 @@ class TestClosedStdout:
         assert "Exception ignored" not in completed.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+class TestFullStdout:
+    """A stdout on a full device, as in ``epc-ipv6 parse ... > /dev/full``, is
+    an output error: exit 2 and one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derive", "0x2225C689D1FB66", "--ons", ONS_TEXT],
+            ["parse", SGTIN_URI],
+            ["resolve", SGTIN_URI, "--registry", "registry.json"],
+            ["bench", "--registry", "registry.json", "--count", "10"],
+        ],
+        ids=["derive", "parse", "resolve", "bench"],
+    )
+    def test_module_run(self, tmp_path, wildcard_registry_path, argv):
+        # the fixture writes registry.json into tmp_path, the child's working directory
+        with open("/dev/full", "w") as full:
+            completed = subprocess.run(
+                [sys.executable, "-m", "epc_ipv6.cli", *argv],
+                cwd=tmp_path, env=child_env("PYTHONUNBUFFERED"), stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert completed.returncode == EXIT_USAGE
+        assert completed.stderr.splitlines()[-1] == (
+            "output: OSError: [Errno 28] No space left on device"
+        )
+        assert "Traceback" not in completed.stderr
+        assert "Exception ignored" not in completed.stderr
+
+
 UNDECODABLE = {
     "not-utf8": b"\xff\xfe[]",
     "nested-past-recursion-limit": b"[" * 100_000 + b"]" * 100_000,

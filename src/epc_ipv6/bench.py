@@ -4,16 +4,14 @@ Populations are generated from a seed with the stdlib Mersenne Twister, so
 equal specs give byte-identical populations on every platform. An SGTIN-96
 field below ``n`` is ``getrandbits(n.bit_length())`` drawn until below ``n``,
 as ``randrange(n)`` draws on CPython 3.10-3.13, whose draws the Python docs do
-not promise to keep. Up to 48 bits, distinct serials are the list
-``sample(range(2**width), count)`` returns there: drawn here where ``sample``
-keeps a set of drawn indices, by ``sample`` where it draws from a pool (as at
-width 7). Wider, each is ``getrandbits(width)`` drawn until new. Both
-population modes draw each SGTIN-96 class through one routine: a default
-member is one class draw plus its serial. ``compare`` resolves a population
-once and reports each method over it; ``evaluate`` is ``compare`` of one
-method. Reports are deterministic for equal inputs except for the timing
-block, which measures wall-clock derivation cost only (registry resolution
-happens beforehand).
+not promise to keep. Distinct serials up to 48 bits are the list
+``sample(range(2**width), count)`` returns, drawn inline where it keeps a set
+and by ``sample`` where it draws from a pool; wider ones are ``getrandbits``
+draws. Both population modes draw each SGTIN-96 class through one routine.
+``compare`` resolves a population once and reports each method over it;
+``evaluate`` is ``compare`` of one method. Reports are deterministic for equal
+inputs except for the timing block, which measures wall-clock derivation cost
+only (registry resolution happens beforehand).
 """
 
 from __future__ import annotations

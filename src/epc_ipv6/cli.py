@@ -117,9 +117,8 @@ def _epc_from_arg(text: str) -> Epc:
         raise TagUriError(f"{text!r} is neither a tag URI nor a number")
     if value >= 1 << 256:
         raise FieldRangeError(f"EPC value {text!r} outside 0..2^256")
-    # a bare number is its own serial, per the raw-scheme convention; _number
-    # and the test above have proven 0 <= value < 2**256
-    return Epc._trusted(EpcScheme.RAW, bit_length(value), value, value, None)
+    # a bare number is its own serial, per the raw-scheme convention
+    return Epc(EpcScheme.RAW, bit_length(value), value, value)
 
 
 def _registry(args, config: argparse.Namespace, missing_message: str) -> OnsRegistry:
@@ -154,7 +153,7 @@ def cmd_parse(args, config: argparse.Namespace) -> int:
         "serial_number": epc.serial_number,
         "uri": epc.uri,
     }
-    if (args.format or config.output_format) == "structured":
+    if _structured(args, config):
         print(json.dumps(fields, indent=2))
     else:
         for key, value in fields.items():
@@ -165,7 +164,7 @@ def cmd_parse(args, config: argparse.Namespace) -> int:
 def cmd_resolve(args, config: argparse.Namespace) -> int:
     epc = _epc_from_arg(args.uri)
     address = _registry(args, config, _REGISTRY_REQUIRED).resolve(epc)
-    if (args.format or config.output_format) == "structured":
+    if _structured(args, config):
         print(json.dumps({"ons_ip": str(address)}))
     else:
         print(address)
@@ -193,7 +192,7 @@ def cmd_bench(args, config: argparse.Namespace) -> int:
     for row in rows:
         if isinstance(row, NotApplicable):
             print(f"bench: {row}", file=sys.stderr)
-    output = render(spec, rows, (args.format or config.output_format) == "structured")
+    output = render(spec, rows, _structured(args, config))
 
     if args.out:
         try:
@@ -204,6 +203,10 @@ def cmd_bench(args, config: argparse.Namespace) -> int:
     else:
         sys.stdout.write(output)
     return EXIT_OK
+
+
+def _structured(args, config: argparse.Namespace) -> bool:
+    return (args.format or config.output_format) == "structured"
 
 
 def _salt_arg(text: str) -> int:

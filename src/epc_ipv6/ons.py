@@ -122,10 +122,13 @@ class OnsRegistry(Frozen):
 
 def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
     """Load and validate a registry file."""
-    # ValueError: not JSON, or an over-long number (a UnicodeDecodeError, caught
-    # first, is one too); json.load frees the text before the records are built
     try:
-        with open(path, encoding="utf-8") as file:
+        file = open(path, encoding="utf-8")  # ValueError: a path holding a NUL byte
+    except (OSError, ValueError) as exc:
+        raise RegistryError(f"cannot read registry {path}: {exc}") from exc
+    # ValueError: not JSON, or an over-long number; a UnicodeDecodeError is caught first
+    try:
+        with file:
             entries = json.load(file, parse_int=_parse_int)
     except (OSError, UnicodeDecodeError) as exc:
         raise RegistryError(f"cannot read registry {path}: {exc}") from exc

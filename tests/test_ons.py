@@ -80,6 +80,12 @@ class TestLoadRegistry:
         with pytest.raises(RegistryError):
             load_registry(tmp_path / "missing.json")
 
+    def test_path_with_nul_byte_is_unreadable(self):
+        # a config file's registry_path can hold "\u0000"; open() refuses it
+        # with ValueError, which is not the file's JSON
+        with pytest.raises(RegistryError, match="^cannot read registry a\x00b: embedded null byte$"):
+            load_registry("a\x00b")
+
     @pytest.mark.parametrize(
         "entries",
         [

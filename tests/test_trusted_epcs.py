@@ -1,9 +1,9 @@
 """Values built without the constructor's checks are ones it would accept.
 
-Tag URI parsers, the CLI's numeric EPC reader, ``decode_sgtin96``, ``plan``
-and ``parse_ipv6`` build their values unchecked once every field has been
-proven valid; the public constructor must accept each such value as is, and
-pickle and copy, which rebuild through it, must give it back equal.
+Tag URI parsers, ``decode_sgtin96``, ``plan`` and ``parse_ipv6`` build their
+values unchecked once every field has been proven valid; the public
+constructor must accept each such value as is, and pickle and copy, which
+rebuild through it, must give it back equal.
 """
 
 import copy
@@ -24,7 +24,6 @@ from epc_ipv6 import (
     parse_tag_uri,
     plan,
 )
-from epc_ipv6.cli import _epc_from_arg
 from epc_ipv6.epc import SGTIN96_PARTITIONS, pack_sgtin96
 
 
@@ -53,27 +52,6 @@ def tag_uris(draw):
 def test_parsed_uri_round_trips(uri):
     epc = parse_tag_uri(uri)
     assert type(epc) is Epc and epc.uri == uri
-    assert Epc(*epc._astuple()) == epc
-    assert pickle.loads(pickle.dumps(epc)) == epc
-    assert copy.copy(epc) == epc
-
-
-@st.composite
-def numeric_epc_texts(draw):
-    """A value below 2**256 and its hex (0x or 0X) or decimal text, maybe zero-padded."""
-    value = draw(st.integers(0, 2**256 - 1) | st.sampled_from([0, 2**256 - 1]))
-    zeros = "0" * draw(st.integers(0, 3))
-    text = draw(st.sampled_from([f"0x{zeros}{value:x}", f"0X{zeros}{value:X}",
-                                 f"{zeros}{value}"]))
-    return text, value
-
-
-@given(numeric_epc_texts())
-def test_numeric_epc_round_trips(text_and_value):
-    text, value = text_and_value
-    epc = _epc_from_arg(text)
-    assert type(epc) is Epc and epc.scheme is EpcScheme.RAW
-    assert epc.value == epc.serial_number == value
     assert Epc(*epc._astuple()) == epc
     assert pickle.loads(pickle.dumps(epc)) == epc
     assert copy.copy(epc) == epc

@@ -1,14 +1,14 @@
 """Immutable value objects on ``__slots__``.
 
 A subclass lists its annotated constructor arguments in ``_fields`` and every
-stored attribute in ``__slots__``. Its ``__init__`` first calls
-``self._check(...)`` on the arguments, then checks their ranges and ends in one
-``self._store(...)``, one argument per slot in ``__slots__`` order. The
-classmethod ``_trusted(...)``, compiled with ``_store`` and inherited with it,
+stored attribute in ``__slots__``. Its ``__init__`` calls ``self._check(...)``
+on the arguments, checks their ranges and ends in one ``self._store(...)``, one
+argument per slot in ``__slots__`` order; the classmethod ``_trusted(...)``
 stores slot values the package has proven valid on a new instance with no
-check. Equality and hashing compare the fields of two values
-of the same class; pickle and copy rebuild a value by calling the class with
-its fields, so its checks run again and derived slots are recomputed.
+check. ``field_check`` compiles all three for each class declaring ``_fields``;
+any other subclass shares its parent's. Equality and hashing compare the fields
+of two values of the same class; pickle and copy rebuild a value by calling the
+class with its fields, so its checks run again and derived slots are recomputed.
 """
 
 import sys
@@ -17,10 +17,14 @@ from types import GenericAlias, UnionType
 
 
 def field_check(cls, fields):
-    """Compile ``check(self, *values)``, straight-line as dataclasses compiles ``__init__``,
-    raising ``ValueError`` at the first value whose class is not exactly one its annotation
-    names; a collection field is left to its constructor, which checks each item."""
-    module, scope, tests = vars(sys.modules[cls.__module__]), {}, []
+    """Compile from one source in one ``exec``, straight-line as dataclasses compiles
+    ``__init__``, and return ``check(self, *fields)``, raising ``ValueError`` at the first
+    value whose class is not exactly one its annotation names (a collection field is left to
+    its constructor, which checks each item), ``_store(self, *slots)``, setting each slot in
+    ``__slots__`` order, and classmethod ``_trusted(cls, *slots)``, storing on a new instance."""
+    module, tests = vars(sys.modules[cls.__module__]), []
+    slots = getattr(cls, "__slots__", ())
+    scope = {"new": object.__new__} | {f"set_{name}": getattr(cls, name).__set__ for name in slots}
     for name in fields:
         hint = eval(cls.__annotations__[name], module)
         if not isinstance(hint, GenericAlias):
@@ -28,8 +32,12 @@ def field_check(cls, fields):
             message = f"{cls.__qualname__}.{name} must be {cls.__annotations__[name]}, got "
             tests.append(f"\n if {name}.__class__ not in {name}_:"
                          f" raise ValueError({message!r} + repr({name}))")
-    exec(f"def check(self, {', '.join(fields)}):\n pass" + "".join(tests), scope)
-    return scope["check"]
+    args, sets = ", ".join(slots), "".join(f"\n set_{name}(self, {name})" for name in slots)
+    # pass only for an empty _store: after a statement it compiles to a NOP
+    exec(f"def check(self, {', '.join(fields)}):\n pass{''.join(tests)}\n"
+         f"def _store(self, {args}):" + (sets or "\n pass") +
+         f"\ndef _trusted(cls, {args}):\n self = new(cls){sets}\n return self", scope)
+    return scope["check"], scope["_store"], classmethod(scope["_trusted"])
 
 
 class Frozen:
@@ -48,20 +56,8 @@ class Frozen:
             cls._astuple = lambda self: (get(self),)
         else:
             cls._astuple = lambda self: get(self)
-        if "_fields" in cls.__dict__:  # a subclass adding no fields shares its parent's check
-            cls._check = field_check(cls, cls._fields)
-        # one straight-line store per class, compiled once like _check, and a
-        # _trusted that stores the same way on a new instance; subclasses share both
-        slots = cls.__dict__.get("__slots__")
-        if slots and not hasattr(cls, "_store"):
-            namespace = {f"set_{name}": cls.__dict__[name].__set__ for name in slots}
-            namespace["new"] = object.__new__
-            args = ", ".join(slots)
-            sets = "".join(f"\n set_{name}(self, {name})" for name in slots)
-            exec(f"def _store(self, {args}):{sets}\n"
-                 f"def _trusted(cls, {args}):\n self = new(cls){sets}\n return self", namespace)
-            cls._store = namespace["_store"]
-            cls._trusted = classmethod(namespace["_trusted"])
+        if "_fields" in cls.__dict__:  # a subclass adding no fields shares its parent's
+            cls._check, cls._store, cls._trusted = field_check(cls, cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

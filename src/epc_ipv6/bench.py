@@ -91,7 +91,7 @@ class PopulationSpec:
         return min(scheme_bits, self.serial_width_bits)
 
 
-PopulationSpec._check = field_check(PopulationSpec, PopulationSpec.__match_args__)
+PopulationSpec._check = field_check(PopulationSpec, PopulationSpec.__match_args__)[0]
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,7 @@ def cmd_bench(args, config: argparse.Namespace) -> int:
         try:
             with open(args.out, "w", encoding="utf-8") as file:
                 file.write(output)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte
             raise CliError("output", f"{type(exc).__name__}: {exc}") from exc
     else:
         sys.stdout.write(output)

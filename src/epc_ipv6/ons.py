@@ -116,9 +116,6 @@ class OnsRegistry(Frozen):
             raise NoMatchError(f"no registry record matches {scheme.value} EPC")
         return record
 
-    def resolve(self, epc: Epc) -> Ipv6Address:
-        return self.lookup(epc).ons_ip
-
 
 def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
     """Load and validate a registry file."""
@@ -161,3 +158,6 @@ def load_registry(path: str | os.PathLike[str]) -> OnsRegistry:
 def resolve(registry: OnsRegistry, epc: Epc) -> Ipv6Address:
     """ONS address of the most specific record matching the EPC."""
     return registry.lookup(epc).ons_ip
+
+
+OnsRegistry.resolve = resolve

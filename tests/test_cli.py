@@ -634,6 +634,9 @@ class TestFailureMatrix:
         (["bench", "--registry", "r.json", "--scheme", "giai-96", "--serials-per-class", "5"],
          EXIT_USAGE, "usage: population spec: serials_per_class applies to sgtin-96 only, "
          "not giai-96"),
+        # open() raises ValueError, not OSError, for a path holding a NUL byte
+        (["bench", "--registry", "r.json", "--scheme", "raw", "--count", "10",
+          "--out", "a\0b"], EXIT_USAGE, "output: ValueError: embedded null byte"),
     ]
 
     @pytest.mark.parametrize("argv, code, err", COMMAND_FAILURES)

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import pickle
 import tracemalloc
@@ -276,6 +277,11 @@ class TestResolve:
     def test_registry_method_alias(self, registry_file, raw):
         registry = load_registry(registry_file([{"pattern": "*", "ons_ip": B}]))
         assert registry.resolve(raw) == resolve(registry, raw)
+
+    def test_method_and_function_are_one(self):
+        # the package's resolve is the registry's method, not a second body
+        assert resolve is OnsRegistry.resolve
+        assert list(inspect.signature(resolve).parameters) == ["registry", "epc"]
 
     def test_deterministic(self, registry_file, sgtin_epc):
         registry = load_registry(

@@ -165,6 +165,13 @@ def test_class_pattern_binds_fields_in_order(case):
     assert cls.__match_args__ == names
 
 
+@pytest.mark.parametrize("cls", [cls for cls, *_ in CASES.values()], ids=list(CASES))
+def test_check_store_and_trusted_come_from_one_compile(cls):
+    # one exec per class: the three functions share the namespace it ran in
+    scope = cls._check.__globals__
+    assert cls._store.__globals__ is scope and cls._trusted.__func__.__globals__ is scope
+
+
 def test_restored_registry_still_resolves():
     registry = OnsRegistry((RECORD, WILDCARD))
     epc = Epc(EpcScheme.GIAI96, 96, serial_number=5)
@@ -290,12 +297,20 @@ class SlottedAddress(Ipv6Address):
     __slots__ = ()
 
 
+class Redeclared(Ipv6Address):
+    # its own _fields compiles its own check, store and trusted build; the
+    # annotation is text, as the package's modules write theirs
+    _fields = ("value",)
+    value: "int"
+
+
 @pytest.mark.parametrize("cls, args", [
     (PlainEpc, (EpcScheme.GIAI96, 96, None, 5)),
     (SlottedEpc, (EpcScheme.RAW, 8, 5, 5)),
     (TaggedEpc, (EpcScheme.SGTIN96, 96, None, 5)),
     (PlainAddress, (7,)),
     (SlottedAddress, (7,)),
+    (Redeclared, (7,)),
 ])
 def test_user_subclasses_build_compare_and_pickle(cls, args):
     value = cls(*args)

@@ -20,8 +20,8 @@ def field_check(cls, fields):
     """Compile from one source in one ``exec``, straight-line as dataclasses compiles
     ``__init__``, and return ``check(self, *fields)``, raising ``ValueError`` at the first
     value whose class is not exactly one its annotation names (a collection field is left to
-    its constructor, which checks each item), ``_store(self, *slots)``, setting each slot in
-    ``__slots__`` order, and classmethod ``_trusted(cls, *slots)``, storing on a new instance."""
+    its constructor, which checks each item); ``_store(self, *slots)``, setting each slot in
+    ``__slots__`` order; and classmethod ``_trusted(cls, *slots)``, storing on a new instance."""
     module, tests = vars(sys.modules[cls.__module__]), []
     slots = getattr(cls, "__slots__", ())
     scope = {"new": object.__new__} | {f"set_{name}": getattr(cls, name).__set__ for name in slots}

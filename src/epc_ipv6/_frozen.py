@@ -26,10 +26,13 @@ def field_check(cls, fields):
     slots = getattr(cls, "__slots__", ())
     scope = {"new": object.__new__} | {f"set_{name}": getattr(cls, name).__set__ for name in slots}
     for name in fields:
-        hint = eval(cls.__annotations__[name], module)
+        # a module without ``from __future__ import annotations`` stores the class itself
+        annotation = cls.__annotations__[name]
+        hint = eval(annotation, module) if isinstance(annotation, str) else annotation
         if not isinstance(hint, GenericAlias):
             scope[f"{name}_"] = frozenset(hint.__args__ if isinstance(hint, UnionType) else [hint])
-            message = f"{cls.__qualname__}.{name} must be {cls.__annotations__[name]}, got "
+            message = (f"{cls.__qualname__}.{name} must be "
+                       f"{getattr(annotation, '__qualname__', annotation)}, got ")
             tests.append(f"\n if {name}.__class__ not in {name}_:"
                          f" raise ValueError({message!r} + repr({name}))")
     args, sets = ", ".join(slots), "".join(f"\n set_{name}(self, {name})" for name in slots)

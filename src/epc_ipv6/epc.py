@@ -10,6 +10,7 @@ the widths of the fields after it.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 
 from ._frozen import Frozen
@@ -271,64 +272,83 @@ def parse_tag_uri(text: str) -> Epc:
     Each scheme's fields are read through its row of ``_URI_LAYOUTS``.
     SGTIN-96 URIs get their full binary ``value`` via the codec; GIAI-96
     and SGLN-96 URIs keep only the trailing serial/individual-reference
-    field, which is all the serial-path derivation methods consume.
+    field, which is all the serial-path derivation methods consume. Text is
+    accepted through the ``_TAG_URI`` pattern and two width rules; refused
+    text gets the error ``_tag_uri_error`` names.
     """
     # a subclass would be stored as the uri, which Epc(...) refuses on copy
+    if text.__class__ is str and (match := _TAG_URI.fullmatch(text)):
+        scheme_name, filter_field, company_field, middle_field, serial_field = match.groups()
+        scheme, middle_name, shared_digits, serial_bits = _URI_LAYOUTS[scheme_name]
+        partition = _COMPANY_DIGITS_TO_PARTITION[len(company_field)]
+        # the pattern leaves two rules: the middle field is there exactly when
+        # the scheme's row names one, as wide as the company prefix leaves ...
+        if middle_name is None:
+            middle_fits = middle_field is None
+        else:
+            middle_fits = (middle_field is not None
+                           and len(middle_field) == shared_digits - len(company_field))
+        # ... and the serial fits its bits; a serial of more than max_bits digits is
+        # at least 10**max_bits, so int() never reads a long one: it refuses text
+        # past 4300 digits, and is quadratic without that limit
+        max_bits = serial_bits or 82 - SGTIN96_PARTITIONS[partition][0]
+        if middle_fits and len(serial_field) <= max_bits and (
+                serial := int(serial_field)) < 1 << max_bits:
+            # every field is checked, so the Epc needs no checks of its own; only
+            # SGTIN-96 has a binary codec
+            value = (pack_sgtin96(int(filter_field), partition, int(company_field),
+                                  int(middle_field), serial)
+                     if scheme is EpcScheme.SGTIN96 else None)
+            return Epc._trusted(scheme, 96, value, serial, text)
+    raise _tag_uri_error(text)
+
+
+def _tag_uri_error(text: object) -> EpcIpv6Error:
+    """The error for text that is not a tag URI ``parse_tag_uri`` takes: the
+    first fault, read field by field in the README's order of errors."""
     if text.__class__ is not str:
-        raise TagUriError(f"expected tag URI text, got {type(text).__name__}")
+        return TagUriError(f"expected tag URI text, got {type(text).__name__}")
     if not text.startswith(_URI_PREFIX):
-        raise TagUriError(f"tag URI must start with {_URI_PREFIX!r}: {text!r}")
+        return TagUriError(f"tag URI must start with {_URI_PREFIX!r}: {text!r}")
     scheme_name, sep, fields_text = text[len(_URI_PREFIX):].partition(":")
     if not sep or not fields_text:
-        raise TagUriError(f"tag URI has no field section: {text!r}")
+        return TagUriError(f"tag URI has no field section: {text!r}")
     layout = _URI_LAYOUTS.get(scheme_name)
     if layout is None:
-        raise UnknownSchemeError(f"unknown tag scheme {scheme_name!r}")
-    scheme, middle_name, shared_digits, serial_bits = layout
+        return UnknownSchemeError(f"unknown tag scheme {scheme_name!r}")
+    _, middle_name, shared_digits, serial_bits = layout
 
     fields = fields_text.split(".")
     for field in fields:
         if field and not (field.isascii() and field.isdigit()):
-            raise TagUriError(f"non-decimal field {field!r} in {text!r}")
+            return TagUriError(f"non-decimal field {field!r} in {text!r}")
     field_count = 3 if middle_name is None else 4
     if len(fields) != field_count:
-        raise TagUriError(
+        return TagUriError(
             f"{scheme_name} URI needs {field_count} fields, got {len(fields)}: {text!r}"
         )
-    filter_field, company_field = fields[0], fields[1]
+    filter_field, company_field, serial_field = fields[0], fields[1], fields[-1]
     if len(filter_field) != 1:
-        raise FieldRangeError(f"filter field {filter_field!r} must be a single digit")
-    filter_value = int(filter_field)
-    if filter_value > 7:
-        raise FieldRangeError(f"filter value {filter_value} outside 0..7")
+        return FieldRangeError(f"filter field {filter_field!r} must be a single digit")
+    if int(filter_field) > 7:
+        return FieldRangeError(f"filter value {filter_field} outside 0..7")
     partition = _COMPANY_DIGITS_TO_PARTITION.get(len(company_field))
     if partition is None:
-        raise FieldRangeError(f"company prefix {company_field!r} must be 6..12 digits")
+        return FieldRangeError(f"company prefix {company_field!r} must be 6..12 digits")
     if middle_name is not None:
         middle_field = fields[2]
         middle_digits = shared_digits - len(company_field)
         if len(middle_field) != middle_digits:
-            raise FieldRangeError(
+            return FieldRangeError(
                 f"{middle_name} {middle_field!r} must be {middle_digits} digits "
                 f"for a {len(company_field)}-digit company prefix"
             )
-    serial = _parse_serial(fields[-1], serial_bits or 82 - SGTIN96_PARTITIONS[partition][0])
-    # every field is checked, so the Epc needs no checks of its own; only
-    # SGTIN-96 has a binary codec
-    value = (pack_sgtin96(filter_value, partition, int(company_field), int(middle_field), serial)
-             if scheme is EpcScheme.SGTIN96 else None)
-    return Epc._trusted(scheme, 96, value, serial, text)
-
-
-def _parse_serial(field: str, max_bits: int) -> int:
     # serials are plain numbers: no leading zeros in the URI form
-    if not field or (len(field) > 1 and field[0] == "0"):
-        raise FieldRangeError(f"serial field {field!r} must be a plain decimal number")
-    # a field of more than max_bits digits is at least 10**max_bits, so int() never
-    # reads a long one: it refuses text past 4300 digits, and is quadratic without that limit
-    if len(field) > max_bits or (serial := int(field)) >= 1 << max_bits:
-        raise FieldRangeError(f"serial {field} overflows {max_bits} bits")
-    return serial
+    if not serial_field or (len(serial_field) > 1 and serial_field[0] == "0"):
+        return FieldRangeError(f"serial field {serial_field!r} must be a plain decimal number")
+    # the pattern takes every other text that gets this far, so its serial overflows
+    max_bits = serial_bits or 82 - SGTIN96_PARTITIONS[partition][0]
+    return FieldRangeError(f"serial {serial_field} overflows {max_bits} bits")
 
 
 # every scheme but raw has a tag URI form, filter.company-prefix[.middle].serial:
@@ -340,6 +360,18 @@ _URI_LAYOUTS = {layout[0].value: layout for layout in (
     (EpcScheme.GIAI96, None, None, None),
     (EpcScheme.SGLN96, "location reference", 12, SERIAL_BITS[EpcScheme.SGLN96]),
 )}
+
+# every rule of the tag URI grammar but the middle field's presence and width
+# and the serial's bits: a scheme of _URI_LAYOUTS, filter 0..7, a 6..12-digit
+# company prefix, an optional middle field and a serial without leading zeros.
+# [0-9] takes ASCII digits only, as \d would not; parse_tag_uri applies it with
+# fullmatch, which, unlike $, takes no line end after the serial. No quantifier
+# repeats another (the middle group is taken once or not at all), so a match
+# is linear in the length of the text
+_TAG_URI = re.compile(
+    rf"{_URI_PREFIX}({'|'.join(_URI_LAYOUTS)}):([0-7])\.([0-9]{{6,12}})"
+    r"(?:\.([0-9]*))?\.(0|[1-9][0-9]*)"
+)
 
 
 def render_tag_uri(epc: Epc) -> str:

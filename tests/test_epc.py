@@ -1,4 +1,5 @@
 import re
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +28,20 @@ from epc_ipv6.errors import (
 # frozen by the pre-build bit-layout oracle
 GOLDEN_SGTIN96 = 0x3074257BF7194E4000001A85
 GOLDEN_URI = "urn:epc:tag:sgtin-96:3.0614141.812345.6789"
+
+
+def non_ascii_digit_fields():
+    """GOLDEN_URI with the first digit of one field made a decimal digit outside
+    ASCII (Arabic-Indic one, superscript two, fullwidth zero), for each field:
+    (the URI, the changed field)."""
+    fields = GOLDEN_URI.rpartition(":")[2].split(".")
+    for digit in ("\u0661", "\u00b2", "\uff10"):
+        for i, field in enumerate(fields):
+            changed = [*fields[:i], digit + field[1:], *fields[i + 1:]]
+            yield "urn:epc:tag:sgtin-96:" + ".".join(changed), changed[i]
+
+
+NON_ASCII_DIGIT_FIELDS = list(non_ascii_digit_fields())
 
 
 class StrSubclass(str):
@@ -242,6 +257,9 @@ class TestParseTagUri:
             "urn:epc:tag:sgtin-96:3.0614141.812345",  # missing serial
             "urn:epc:tag:sgtin-96:3.0614141.812345.6789.1",
             "urn:epc:tag:sgtin-96:3.0614141.8123x5.6789",
+            GOLDEN_URI + "\n",                            # a line end after the serial
+            "urn:epc:tag:sgtin-96:3.0614141:812345.6789",  # a colon among the fields
+            "urn:epc:tag:SGTIN-96:3.0614141.812345.6789",  # an upper-case scheme
         ],
     )
     def test_malformed(self, uri):
@@ -267,6 +285,8 @@ class TestParseTagUri:
             "urn:epc:tag:sgtin-96:3.0614141.81234.6789",    # item digits mismatch
             "urn:epc:tag:sgtin-96:3.0614141.812345.274877906944",  # serial 2^38
             "urn:epc:tag:sgtin-96:3.0614141.812345.06789",  # serial leading zero
+            "urn:epc:tag:sgtin-96:3.0614141.812345.00",     # serial of zeros
+            "urn:epc:tag:sgln-96:3.0614141.12345.2199023255552",  # serial 2^41
         ],
     )
     def test_field_range(self, uri):
@@ -333,6 +353,20 @@ class TestParseTagUri:
             parse_tag_uri(uri)
         assert (type(info.value), str(info.value)) == (FieldRangeError, message)
 
+    @pytest.mark.parametrize(
+        "uri, serial",
+        [
+            ("urn:epc:tag:sgtin-96:3.0614141.812345.0", 0),
+            ("urn:epc:tag:giai-96:3.0614141.0", 0),
+            ("urn:epc:tag:sgln-96:3.0614141.12345.0", 0),
+            ("urn:epc:tag:sgtin-96:3.0614141.812345.274877906943", 2**38 - 1),
+            ("urn:epc:tag:sgln-96:3.0614141.12345.2199023255551", 2**41 - 1),
+        ],
+    )
+    def test_serial_edges_accepted(self, uri, serial):
+        epc = parse_tag_uri(uri)
+        assert (epc.serial_number, epc.uri) == (serial, uri)
+
     def test_giai_serial_width_depends_on_partition(self):
         # the asset field fills the 82 bits the company prefix leaves:
         # 6-digit company -> 62-bit asset field, 12-digit -> 42 bits
@@ -375,6 +409,21 @@ class TestParseTagUri:
              "item reference '81234' must be 6 digits for a 7-digit company prefix"),
             ("urn:epc:tag:sgln-96:3.0614141.1234.", FieldRangeError,
              "location reference '1234' must be 5 digits for a 7-digit company prefix"),
+            # text a pattern could take by mistake: a line end after the serial, a
+            # colon in the field section, an upper-case scheme, non-ASCII digits
+            (GOLDEN_URI + "\n", TagUriError,
+             f"non-decimal field '6789\\n' in '{GOLDEN_URI}\\n'"),
+            ("urn:epc:tag:sgtin-96:3.0614141:812345.6789", TagUriError,
+             "non-decimal field '0614141:812345' in "
+             "'urn:epc:tag:sgtin-96:3.0614141:812345.6789'"),
+            ("urn:epc:tag:SGTIN-96:3.0614141.812345.6789", UnknownSchemeError,
+             "unknown tag scheme 'SGTIN-96'"),
+            *((uri, TagUriError, f"non-decimal field {field!r} in {uri!r}")
+              for uri, field in NON_ASCII_DIGIT_FIELDS),
+            ("urn:epc:tag:sgln-96:3.0614141.12345.2199023255552", FieldRangeError,
+             "serial 2199023255552 overflows 41 bits"),
+            ("urn:epc:tag:sgtin-96:3.0614141.812345.274877906944", FieldRangeError,
+             "serial 274877906944 overflows 38 bits"),
         ],
     )
     def test_first_fault_wins(self, uri, error, message):
@@ -397,6 +446,127 @@ class TestParseTagUri:
         with pytest.raises(FieldRangeError) as info:
             parse_tag_uri(prefix + serial)
         assert str(info.value) == f"serial {serial} overflows {bits} bits"
+
+
+# scheme name -> (scheme, middle field's name or None, digits the company prefix
+# and the middle field share, serial bits or None for the 82 bits left after
+# header, filter, partition and company prefix)
+REFERENCE_LAYOUTS = {
+    "sgtin-96": (EpcScheme.SGTIN96, "item reference", 13, 38),
+    "giai-96": (EpcScheme.GIAI96, None, None, None),
+    "sgln-96": (EpcScheme.SGLN96, "location reference", 12, 41),
+}
+COMPANY_DIGITS_TO_PARTITION = {row[1]: p for p, row in SGTIN96_PARTITIONS.items()}
+
+
+def reference_parse(text):
+    """The field-by-field tag URI parser that the one-pattern parse_tag_uri
+    replaced: each check in the README's order of errors, then the Epc."""
+    prefix = "urn:epc:tag:"
+    if text.__class__ is not str:
+        raise TagUriError(f"expected tag URI text, got {type(text).__name__}")
+    if not text.startswith(prefix):
+        raise TagUriError(f"tag URI must start with {prefix!r}: {text!r}")
+    scheme_name, sep, fields_text = text[len(prefix):].partition(":")
+    if not sep or not fields_text:
+        raise TagUriError(f"tag URI has no field section: {text!r}")
+    layout = REFERENCE_LAYOUTS.get(scheme_name)
+    if layout is None:
+        raise UnknownSchemeError(f"unknown tag scheme {scheme_name!r}")
+    scheme, middle_name, shared_digits, serial_bits = layout
+
+    fields = fields_text.split(".")
+    for field in fields:
+        if field and not (field.isascii() and field.isdigit()):
+            raise TagUriError(f"non-decimal field {field!r} in {text!r}")
+    field_count = 3 if middle_name is None else 4
+    if len(fields) != field_count:
+        raise TagUriError(
+            f"{scheme_name} URI needs {field_count} fields, got {len(fields)}: {text!r}"
+        )
+    filter_field, company_field = fields[0], fields[1]
+    if len(filter_field) != 1:
+        raise FieldRangeError(f"filter field {filter_field!r} must be a single digit")
+    filter_value = int(filter_field)
+    if filter_value > 7:
+        raise FieldRangeError(f"filter value {filter_value} outside 0..7")
+    partition = COMPANY_DIGITS_TO_PARTITION.get(len(company_field))
+    if partition is None:
+        raise FieldRangeError(f"company prefix {company_field!r} must be 6..12 digits")
+    if middle_name is not None:
+        middle_field = fields[2]
+        middle_digits = shared_digits - len(company_field)
+        if len(middle_field) != middle_digits:
+            raise FieldRangeError(
+                f"{middle_name} {middle_field!r} must be {middle_digits} digits "
+                f"for a {len(company_field)}-digit company prefix"
+            )
+    serial_field = fields[-1]
+    max_bits = serial_bits or 82 - SGTIN96_PARTITIONS[partition][0]
+    if not serial_field or (len(serial_field) > 1 and serial_field[0] == "0"):
+        raise FieldRangeError(
+            f"serial field {serial_field!r} must be a plain decimal number"
+        )
+    if len(serial_field) > max_bits or (serial := int(serial_field)) >= 1 << max_bits:
+        raise FieldRangeError(f"serial {serial_field} overflows {max_bits} bits")
+    value = (pack_sgtin96(filter_value, partition, int(company_field), int(middle_field), serial)
+             if scheme is EpcScheme.SGTIN96 else None)
+    return Epc._trusted(scheme, 96, value, serial, text)
+
+
+# one-character edits: ASCII digits and letters, the URI's separators, a line
+# end, and decimal digits outside ASCII (Arabic-Indic one, superscript two)
+EDIT_CHARACTERS = st.sampled_from(
+    list(string.digits + string.ascii_letters + ".:-\n\u0661\u00b2")
+)
+
+
+@st.composite
+def edited_tag_uris(draw):
+    """A tag URI drawn from one scheme's grammar, its field widths and serial
+    at, below and past their bounds, then changed by 0-3 one-character
+    insertions, deletions or replacements."""
+    scheme = draw(st.sampled_from(list(REFERENCE_LAYOUTS)))
+    _, middle_name, shared_digits, _ = REFERENCE_LAYOUTS[scheme]
+
+    def digits(count):
+        return draw(st.text(string.digits, min_size=count, max_size=count))
+
+    company_digits = draw(st.integers(5, 13))
+    fields = [str(draw(st.integers(0, 9))), digits(company_digits)]
+    if middle_name is not None:
+        fields.append(digits(max(0, shared_digits - company_digits + draw(st.integers(-1, 1)))))
+    # every serial width is 38..62 bits
+    bits = draw(st.integers(37, 63))
+    fields.append(str(draw(st.integers(0, 999) | st.integers(2**bits - 2, 2**bits + 1))))
+    text = f"urn:epc:tag:{scheme}:" + ".".join(fields)
+    for _ in range(draw(st.integers(0, 3))):
+        # most edits land in the scheme and fields, since any edit of
+        # urn:epc:tag: gives the one message for a missing prefix
+        at = draw(st.integers(len("urn:epc:tag:"), len(text) - 1) | st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        tail = text[at + 1:] if edit != "insert" else text[at:]
+        text = text[:at] + ("" if edit == "delete" else draw(EDIT_CHARACTERS)) + tail
+    return text
+
+
+def parse_outcome(parse, text):
+    """The parsed Epc, or the class and message of the error."""
+    try:
+        return parse(text)
+    except EpcIpv6Error as exc:
+        return exc.__class__, str(exc)
+
+
+class TestParserEquivalence:
+    @given(edited_tag_uris())
+    def test_matches_reference_parser(self, text):
+        assert parse_outcome(parse_tag_uri, text) == parse_outcome(reference_parse, text)
+
+    def test_reference_parser_reads_the_golden_uri(self):
+        assert reference_parse(GOLDEN_URI) == Epc(
+            EpcScheme.SGTIN96, 96, GOLDEN_SGTIN96, 6789, GOLDEN_URI
+        )
 
 
 class TestRenderTagUri:

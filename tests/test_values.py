@@ -323,6 +323,22 @@ def test_user_subclasses_build_compare_and_pickle(cls, args):
         value.value = 8
 
 
+def test_annotation_may_be_a_class():
+    # a module without ``from __future__ import annotations`` stores the class
+    # itself as a field's annotation, not its name
+    namespace = {"__name__": __name__, "Ipv6Address": Ipv6Address}
+    exec("class ClassAnnotated(Ipv6Address):\n"
+         "    _fields = ('value',)\n"
+         "    value: int\n", namespace)
+    cls = namespace["ClassAnnotated"]
+    assert cls.__annotations__ == {"value": int}
+    value = cls(7)
+    assert value._astuple() == (7,) and value == cls(7) and value != Ipv6Address(7)
+    assert cls._trusted(7) == value
+    with pytest.raises(ValueError, match=r"^ClassAnnotated\.value must be int, got 7\.5$"):
+        cls(7.5)
+
+
 @pytest.mark.parametrize("cls, args", [
     *((cls, args) for cls, args, *_ in CASES.values()),
     (PlainEpc, (EpcScheme.GIAI96, 96, None, 5)),

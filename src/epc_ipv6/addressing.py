@@ -5,8 +5,9 @@ Every method is one splice: with an n-bit payload v, the address is
 128-n bits are those of the given address. The hybrid method's payload is
 the EPC or its serial number, n its width; the five baselines put a
 64-bit interface id under a 64-bit network prefix. Each method is a
-payload step ``epc -> (payload, n)`` that :func:`integer_kernel` feeds to
-the splice on plain integers. Every operation here is a pure function of
+payload step ``epc -> (payload, n)`` that one binder feeds to the splice
+on plain integers, for :func:`integer_kernel` and
+:func:`method_function` alike. Every operation here is a pure function of
 its arguments; outputs are reproducible golden vectors.
 """
 
@@ -25,12 +26,13 @@ from .errors import (
     MissingValueError,
     SerialTooWideError,
 )
-from .ipv6 import Ipv6Address
+from .ipv6 import _ADDRESS_LIMIT, Ipv6Address
 
 IPV6_BITS = 128
 IID_BITS = 64
 _IID_MASK = (1 << IID_BITS) - 1
 _RAW = EpcScheme.RAW  # an enum member lookup costs a call on the hot path
+_trusted_address = Ipv6Address._trusted
 
 
 class PayloadSource(str, Enum):
@@ -182,6 +184,35 @@ _STEPS: dict[AddressingMethodId, Callable[..., Callable]] = {
 }
 
 
+def _bind(
+    method: AddressingMethodId, salt: int, standard: TagStandard | str, address: bool
+) -> Callable:
+    """Bind a method's payload step once to the splice, on plain integers.
+
+    Without ``address`` the callable maps ``(epc, address value)`` to the
+    address value. With it, it maps ``(epc, address)`` to an ``Ipv6Address``
+    and runs that constructor's class and range check inline: an ``int`` in
+    128 bits is stored unchecked, and any other value goes to
+    ``Ipv6Address(...)``, which raises its own error.
+    """
+    if not isinstance(method, AddressingMethodId):
+        raise ValueError(f"unknown addressing method {method!r}")
+    step = _STEPS[method](salt, standard)
+
+    def bound(epc: Epc, ons):
+        if address:
+            ons = ons.value
+        payload, n = step(epc)
+        value = ons >> n << n | payload
+        if not address:
+            return value
+        if value.__class__ is int and 0 <= value < _ADDRESS_LIMIT:
+            return _trusted_address(value)
+        return Ipv6Address(value)
+
+    return bound
+
+
 def integer_kernel(
     method: AddressingMethodId, salt: int = 0, standard: TagStandard | str = TagStandard.EPC
 ) -> Callable[[Epc, int], int]:
@@ -193,15 +224,7 @@ def integer_kernel(
     64 bits or an unknown standard raises :class:`InvalidOptionError` here,
     not per call.
     """
-    if not isinstance(method, AddressingMethodId):
-        raise ValueError(f"unknown addressing method {method!r}")
-    step = _STEPS[method](salt, standard)
-
-    def kernel(epc: Epc, ons: int) -> int:
-        payload, n = step(epc)
-        return ons >> n << n | payload
-
-    return kernel
+    return _bind(method, salt, standard, address=False)
 
 
 def method_function(
@@ -209,8 +232,7 @@ def method_function(
 ) -> Callable[[Epc, Ipv6Address], Ipv6Address]:
     """Bind a method id to a ``(epc, address) -> address`` callable; see
     :func:`integer_kernel` for the address and the options."""
-    kernel = integer_kernel(method, salt, standard)
-    return lambda epc, address: Ipv6Address(kernel(epc, address.value))
+    return _bind(method, salt, standard, address=True)
 
 
 def derive(
@@ -221,14 +243,20 @@ def derive(
     return method_function(method, salt, standard)(epc, address)
 
 
+# the methods that take no option, bound once
+_hybrid = method_function(AddressingMethodId.HYBRID_ONS)
+_direct64 = method_function(AddressingMethodId.DIRECT64)
+_one_pad = method_function(AddressingMethodId.ONE_PAD_SERIAL)
+
+
 def derive_hybrid(epc: Epc, ons_ip: Ipv6Address) -> Ipv6Address:
     """Splice the high 128-n ONS bits onto the n-bit payload."""
-    return derive(AddressingMethodId.HYBRID_ONS, epc, ons_ip)
+    return _hybrid(epc, ons_ip)
 
 
 def derive_direct64(epc: Epc, net_prefix: Ipv6Address) -> Ipv6Address:
     """Fixed split: 64-bit network prefix plus the zero-extended EPC value."""
-    return derive(AddressingMethodId.DIRECT64, epc, net_prefix)
+    return _direct64(epc, net_prefix)
 
 
 def derive_xor_pad(epc: Epc, net_prefix: Ipv6Address, salt: int = 0) -> Ipv6Address:
@@ -244,7 +272,7 @@ def derive_or_pad(epc: Epc, net_prefix: Ipv6Address, salt: int = 0) -> Ipv6Addre
 
 def derive_one_pad(epc: Epc, net_prefix: Ipv6Address) -> Ipv6Address:
     """Serial-number method: pad the serial to 64 bits with one-bits on the left."""
-    return derive(AddressingMethodId.ONE_PAD_SERIAL, epc, net_prefix)
+    return _one_pad(epc, net_prefix)
 
 
 def derive_iso_epc(

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 resolve error,
 5 derive error, named by the failing error's ``stage``; ``bench`` reports
-a method that fails on its population as not applicable and still exits 0.
+a method that fails on its population as not applicable and still exits 0,
+and ``derive -``, one EPC per stdin line, exits with the highest code of its
+failed lines.
 A JSON config file named by the EPC_IPV6_CONFIG environment variable can
 preset the registry path, default method, and output format; flags
 override the config.
@@ -42,12 +44,13 @@ _GENERATOR_SCHEMES = [s.value for s in EpcScheme]
 # spaces and non-ASCII digits
 _DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 10: frozenset("0123456789")}
 
-_EXIT_CODES = {"usage": EXIT_USAGE, "config": EXIT_USAGE, "output": EXIT_USAGE,
-               "parse": EXIT_PARSE, "resolve": EXIT_RESOLVE, "derive": EXIT_DERIVE}
+_EXIT_CODES = {"usage": EXIT_USAGE, "config": EXIT_USAGE, "input": EXIT_USAGE,
+               "output": EXIT_USAGE, "parse": EXIT_PARSE, "resolve": EXIT_RESOLVE,
+               "derive": EXIT_DERIVE}
 
 
 class CliError(Exception):
-    """Usage error (exit 2); its ``stage`` is usage, config or output, and starts its text."""
+    """Usage error (exit 2); its ``stage`` is usage, config, input or output, and starts its text."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
@@ -130,18 +133,44 @@ def _registry(args, config: argparse.Namespace, missing_message: str) -> OnsRegi
 
 
 def cmd_derive(args, config: argparse.Namespace) -> int:
-    epc = _epc_from_arg(args.epc)
+    # "-" reads one EPC per stdin line, after the checks that need none
+    epc = None if args.epc == "-" else _epc_from_arg(args.epc)
     if args.ons is not None and args.registry is not None:
         raise CliError("usage", "give exactly one of --ons and --registry")
     if args.ons is not None:
         ons = parse_ipv6(args.ons)
+        ons_of = lambda epc: ons
     else:
         missing = "an ONS source is required: --ons, --registry, or config"
-        ons = _registry(args, config, missing).resolve(epc)
+        ons_of = _registry(args, config, missing).resolve
     method = AddressingMethodId(args.method or config.default_method)
     derive = method_function(method, salt=args.salt, standard=args.standard)
-    print(derive(epc, ons))
-    return EXIT_OK
+    if epc is not None:
+        print(derive(epc, ons_of(epc)))
+        return EXIT_OK
+    if sys.stdin is None:  # started with file descriptor 0 closed
+        raise CliError("input", "stdin is closed")
+    read, write, code, number = sys.stdin.buffer.readline, sys.stdout.write, EXIT_OK, 0
+    while True:
+        # main reads an OSError as a failed stdout write, so a failed read is named here
+        try:
+            line = read()
+        except OSError as exc:
+            raise CliError("input", f"{type(exc).__name__}: {exc}") from exc
+        if not line:
+            return code
+        number += 1
+        line = line.removesuffix(b"\n")
+        try:
+            try:
+                text = line.decode()
+            except UnicodeDecodeError:
+                raise TagUriError(f"{line!r} is not UTF-8 text") from None
+            epc = _epc_from_arg(text)
+            write(f"{derive(epc, ons_of(epc))}\n")
+        except EpcIpv6Error as exc:
+            print(f"line {number}: {_error_line(exc)}", file=sys.stderr)
+            code = max(code, _EXIT_CODES[exc.stage])
 
 
 def cmd_parse(args, config: argparse.Namespace) -> int:
@@ -238,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     derive = sub.add_parser("derive", help="derive an address for one EPC")
-    derive.add_argument("epc", help="tag URI, or numeric EPC (0x-hex or decimal)")
+    derive.add_argument("epc", help="tag URI, or numeric EPC (0x-hex or decimal); "
+                        "- reads one per stdin line")
     derive.add_argument("--ons", help="ONS IPv6 address literal")
     derive.add_argument("--registry", help="registry file to resolve the ONS address")
     derive.add_argument("--method", choices=_METHOD_NAMES,
@@ -295,10 +325,16 @@ def main(argv: list[str] | None = None) -> int:
             # exit; that write goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
             exc = CliError("output", f"{type(exc).__name__}: {exc}")
-        # a CliError's or EvaluationError's text already starts with its stage
-        named = isinstance(exc, (CliError, EvaluationError))
-        print(exc if named else f"{exc.stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return _EXIT_CODES[exc.stage]
+
+
+def _error_line(exc: CliError | EpcIpv6Error) -> str:
+    """``<stage>: <ErrorType>: <message>``; a CliError's or EvaluationError's text
+    already starts with its stage."""
+    if isinstance(exc, (CliError, EvaluationError)):
+        return str(exc)
+    return f"{exc.stage}: {type(exc).__name__}: {exc}"
 
 
 def run() -> None:

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -461,6 +462,25 @@ def _reference(method, epc, ons, salt, standard) -> int:
     return ons - ons % 2**64 + iid
 
 
+def _address_outcome(call):
+    try:
+        return "ok", call()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class Splices:
+    """Not an int, yet the splice's shifts and OR all take it and give it back."""
+
+    def __rshift__(self, other):
+        return self
+
+    __lshift__ = __or__ = __rshift__
+
+    def __repr__(self):
+        return "Splices()"
+
+
 def _outcome(call):
     try:
         return "ok", call()
@@ -485,3 +505,30 @@ class TestIntegerKernel:
             assert got[0] == reference[0], method
             if got[0] == "ok":
                 assert got[1] == reference[1], method
+
+    # an address object whose value no Ipv6Address holds; the derive callable
+    # tests the result's class and range inline, so each must still raise the
+    # error Ipv6Address(kernel(...)) raises, and True still derives as 1
+    @pytest.mark.parametrize("method", list(AddressingMethodId))
+    @pytest.mark.parametrize(
+        "value, error, text",
+        [
+            (2**128, ValueError, "address value 0x1"),
+            (-1, ValueError, "address value -0x"),
+            (1.5, TypeError, "unsupported operand type(s) for >>: 'float' and 'int'"),
+            (Splices(), ValueError, "Ipv6Address.value must be int, got Splices()"),
+            (True, None, None),
+        ],
+        ids=["2**128", "-1", "float", "non-int", "True"],
+    )
+    def test_address_value_outside_ipv6_raises_as_checked_build(self, method, value, error, text):
+        epc = raw_epc(0)  # every method applies
+        bound = method_function(method)
+        got = _address_outcome(lambda: bound(epc, SimpleNamespace(value=value)))
+        kernel = integer_kernel(method)
+        assert got == _address_outcome(lambda: Ipv6Address(kernel(epc, value)))
+        if error is None:
+            assert got[0] == "ok"
+        else:
+            assert got[0] is error and got[1].startswith(text)
+            assert error is TypeError or got[1].endswith(("fit 128 bits", "got Splices()"))

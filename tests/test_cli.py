@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -993,3 +995,195 @@ class TestSaltGrammar:
             main(["bench", "--salt", "0x1" + "0" * 16])
         assert excinfo.value.code == EXIT_USAGE
         assert "does not fit 64 bits" in capsys.readouterr().err
+
+
+SERIAL_ADDRESS = "3ffe:ffff:4004:1952:0:7251:bc9b:ba85"  # SGTIN_URI's serial 6789 under ONS_TEXT
+TOO_WIDE = "0x1" + "0" * 33  # a 133-bit raw EPC, its own serial: too wide for hybrid_ons
+# one line per outcome: each stage's failure, a blank line, a CRLF line, bytes
+# that are not UTF-8, and a last line without its newline
+MIXED_LINES = (
+    f"{SGTIN_URI}\n0x2225C689D1FB66\n\n{GIAI_URI}\n{TOO_WIDE}\n9611683854154598\r\n".encode()
+    + b"\xff0x1\nurn:epc:tag:xyz-96:1.2.3\n9611683854154598"
+)
+MIXED_OUT = f"{SERIAL_ADDRESS}\n{GOLDEN_ADDRESS}\n{GOLDEN_ADDRESS}\n"
+MIXED_ERR = (
+    "line 3: parse: TagUriError: '' is neither a tag URI nor a number\n"
+    "line 4: resolve: NoMatchError: no registry record matches giai-96 EPC\n"
+    "line 5: derive: SerialTooWideError: 133-bit payload exceeds the 128-bit address\n"
+    "line 6: parse: TagUriError: '9611683854154598\\r' is neither a tag URI nor a number\n"
+    "line 7: parse: TagUriError: b'\\xff0x1' is not UTF-8 text\n"
+    "line 8: parse: UnknownSchemeError: unknown tag scheme 'xyz-96'\n"
+)
+# a registry with no record for giai-96
+LINES_REGISTRY = [{"pattern": "sgtin-96", "ons_ip": ONS_TEXT}, {"pattern": "raw", "ons_ip": ONS_TEXT}]
+
+
+def stdin_bytes(monkeypatch, data: bytes) -> io.BytesIO:
+    """Make ``data`` the process's stdin for ``main``; return its byte stream."""
+    stream = io.BytesIO(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stream))
+    return stream
+
+
+class DirectoryReader(io.RawIOBase):
+    """Reads a directory's file descriptor, as a shell's ``< dir`` would hand it
+    over; CPython itself refuses a directory as stdin before any code runs."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        data = os.read(self.fd, len(buffer))
+        buffer[:len(data)] = data
+        return len(data)
+
+
+class TestDeriveLines:
+    """``derive -``: one EPC per stdin line, one address per stdout line, in
+    order; a bad line is one stderr line and the run goes on."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "registry.json").write_text(json.dumps(LINES_REGISTRY), encoding="utf-8")
+
+    def test_mixed_lines(self, capsys, monkeypatch):
+        stdin_bytes(monkeypatch, MIXED_LINES)
+        assert main(["derive", "-", "--registry", "registry.json"]) == EXIT_DERIVE
+        assert capsys.readouterr() == (MIXED_OUT, MIXED_ERR)
+
+    def test_mixed_lines_module_run(self, tmp_path):
+        (tmp_path / "epcs.txt").write_bytes(MIXED_LINES)
+        with open(tmp_path / "epcs.txt", "rb") as stdin:
+            completed = subprocess.run(
+                [sys.executable, "-m", "epc_ipv6.cli", "derive", "-", "--registry",
+                 "registry.json"],
+                cwd=tmp_path, env=child_env(), stdin=stdin, capture_output=True, timeout=60,
+            )
+        assert (completed.returncode, completed.stdout, completed.stderr) == (
+            EXIT_DERIVE, MIXED_OUT.encode(), MIXED_ERR.encode()
+        )
+
+    @pytest.mark.parametrize(
+        "lines, code",
+        [
+            ([], EXIT_OK),
+            (["0x1", SGTIN_URI], EXIT_OK),
+            (["zzz", "0x1"], EXIT_PARSE),
+            ([GIAI_URI, "zzz"], EXIT_RESOLVE),
+            (["zzz", TOO_WIDE, GIAI_URI], EXIT_DERIVE),
+        ],
+        ids=["empty", "ok", "parse", "resolve-over-parse", "derive-over-all"],
+    )
+    def test_exit_code_is_the_highest_stage_seen(self, capsys, monkeypatch, lines, code):
+        stdin_bytes(monkeypatch, "".join(line + "\n" for line in lines).encode())
+        assert main(["derive", "-", "--registry", "registry.json"]) == code
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) + len(captured.err.splitlines()) == len(lines)
+
+    @pytest.mark.parametrize("method", [m.value for m in epc_ipv6.AddressingMethodId])
+    def test_each_line_as_one_shot_derive(self, capsys, monkeypatch, method):
+        epcs = ["0x2225C689D1FB66", "9611683854154598", SGTIN_URI, GIAI_URI,
+                "urn:epc:tag:sgln-96:3.0614141.12345.400", "0x1", "0", TOO_WIDE]
+        options = ["--ons", ONS_TEXT, "--method", method, "--salt", "0x5"]
+        expected_out, expected_err, expected_code = "", "", EXIT_OK
+        for number, text in enumerate(epcs, 1):
+            code = main(["derive", text, *options])
+            captured = capsys.readouterr()
+            expected_out += captured.out
+            expected_err += f"line {number}: {captured.err}" if captured.err else ""
+            expected_code = max(expected_code, code)
+        stdin_bytes(monkeypatch, "\n".join(epcs).encode() + b"\n")
+        assert main(["derive", "-", *options]) == expected_code
+        assert capsys.readouterr() == (expected_out, expected_err)
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["--ons", "::", "--registry", "registry.json"], EXIT_USAGE,
+             "usage: give exactly one of --ons and --registry"),
+            ([], EXIT_USAGE, "usage: an ONS source is required: --ons, --registry, or config"),
+            (["--ons", "not-an-address"], EXIT_PARSE,
+             "parse: Ipv6TextError: At least 3 parts expected in 'not-an-address'"),
+            (["--registry", "nope.json"], EXIT_RESOLVE,
+             f"resolve: RegistryError: cannot read registry nope.json: {NO_FILE}: "
+             "'nope.json'"),
+        ],
+        ids=["both-sources", "no-source", "bad-ons", "registry-load"],
+    )
+    def test_fails_once_before_reading_a_line(self, capsys, monkeypatch, argv, code, err):
+        stdin = stdin_bytes(monkeypatch, b"0x1\nzzz\n")
+        assert main(["derive", "-", *argv]) == code
+        assert capsys.readouterr() == ("", err + "\n")
+        assert stdin.tell() == 0
+
+    def test_bad_salt_fails_before_reading_a_line(self, capsys, monkeypatch):
+        stdin = stdin_bytes(monkeypatch, b"0x1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["derive", "-", "--ons", "::", "--method", "xor_pad", "--salt", "zz"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "salt 'zz' is not a number" in capsys.readouterr().err
+        assert stdin.tell() == 0
+
+    def test_memory_stays_flat(self, monkeypatch):
+        # the input and the output are each about 4 MB, and holding either whole
+        # peaks past 8 MB; set-up (argparse, the registry) peaks at about 0.25 MB
+        # whether one line is read or 10^5
+        stdin_bytes(monkeypatch, f"0x2225C689D1FB66\n{SGTIN_URI}\n".encode() * 50_000)
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                code = main(["derive", "-", "--registry", "registry.json"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 1024 * 1024
+
+    def test_stdout_closed_after_the_first_line(self, tmp_path):
+        # as ``epc-ipv6 derive - < epcs.txt | head -1``; the output outgrows a pipe
+        (tmp_path / "epcs.txt").write_bytes(b"0x2225C689D1FB66\n" * 100_000)
+        with open(tmp_path / "epcs.txt", "rb") as stdin, subprocess.Popen(
+            [sys.executable, "-m", "epc_ipv6.cli", "derive", "-", "--ons", ONS_TEXT],
+            cwd=tmp_path, env=child_env("PYTHONUNBUFFERED"), stdin=stdin,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            code = child.wait(timeout=60)
+        assert first == f"{GOLDEN_ADDRESS}\n".encode()
+        assert code == EXIT_USAGE
+        assert err == "output: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+    def test_stdin_a_directory(self, capsys, monkeypatch, tmp_path):
+        fd = os.open(tmp_path, os.O_RDONLY)
+        try:
+            with io.TextIOWrapper(io.BufferedReader(DirectoryReader(fd))) as stdin:
+                monkeypatch.setattr(sys, "stdin", stdin)
+                assert main(["derive", "-", "--ons", "::"]) == EXIT_USAGE
+        finally:
+            os.close(fd)
+        assert capsys.readouterr() == ("", "input: IsADirectoryError: [Errno 21] Is a directory\n")
+
+    def test_stdin_open_for_writing_module_run(self, tmp_path):
+        # as ``epc-ipv6 derive - 0>/dev/null``: reading the descriptor fails
+        with open(os.devnull, "wb") as stdin:
+            completed = subprocess.run(
+                [sys.executable, "-m", "epc_ipv6.cli", "derive", "-", "--ons", "::"],
+                cwd=tmp_path, env=child_env(), stdin=stdin, capture_output=True,
+                text=True, timeout=60,
+            )
+        assert (completed.returncode, completed.stdout, completed.stderr) == (
+            EXIT_USAGE, "", "input: OSError: [Errno 9] Bad file descriptor\n"
+        )
+
+    def test_stdin_closed(self, capsys, monkeypatch):
+        # the interpreter sets sys.stdin to None when it starts with descriptor 0 closed
+        monkeypatch.setattr(sys, "stdin", None)
+        assert main(["derive", "-", "--ons", "::"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "input: stdin is closed\n")

@@ -5,10 +5,10 @@ Every method is one splice: with an n-bit payload v, the address is
 128-n bits are those of the given address. The hybrid method's payload is
 the EPC or its serial number, n its width; the five baselines put a
 64-bit interface id under a 64-bit network prefix. Each method is a
-payload step ``epc -> (payload, n)`` that one binder feeds to the splice
-on plain integers, for :func:`integer_kernel` and
-:func:`method_function` alike. Every operation here is a pure function of
-its arguments; outputs are reproducible golden vectors.
+payload step ``epc -> (payload, n)``; :func:`integer_kernel` binds it to
+the splice on plain integers, and :func:`method_function` is the checked
+``Ipv6Address`` of that kernel's result. Every operation here is a pure
+function of its arguments; outputs are reproducible golden vectors.
 """
 
 from __future__ import annotations
@@ -184,55 +184,47 @@ _STEPS: dict[AddressingMethodId, Callable[..., Callable]] = {
 }
 
 
-def _bind(
-    method: AddressingMethodId, salt: int, standard: TagStandard | str, address: bool
-) -> Callable:
-    """Bind a method's payload step once to the splice, on plain integers.
-
-    Without ``address`` the callable maps ``(epc, address value)`` to the
-    address value. With it, it maps ``(epc, address)`` to an ``Ipv6Address``
-    and runs that constructor's class and range check inline: an ``int`` in
-    128 bits is stored unchecked, and any other value goes to
-    ``Ipv6Address(...)``, which raises its own error.
-    """
-    if not isinstance(method, AddressingMethodId):
-        raise ValueError(f"unknown addressing method {method!r}")
-    step = _STEPS[method](salt, standard)
-
-    def bound(epc: Epc, ons):
-        if address:
-            ons = ons.value
-        payload, n = step(epc)
-        value = ons >> n << n | payload
-        if not address:
-            return value
-        if value.__class__ is int and 0 <= value < _ADDRESS_LIMIT:
-            return _trusted_address(value)
-        return Ipv6Address(value)
-
-    return bound
-
-
 def integer_kernel(
     method: AddressingMethodId, salt: int = 0, standard: TagStandard | str = TagStandard.EPC
 ) -> Callable[[Epc, int], int]:
     """Bind a method to an ``(epc, address value) -> address value`` kernel.
 
     The address is the ONS address for ``hybrid_ons`` and the network prefix
-    for every baseline. Each step yields ``payload < 2**n <= 2**128``, so an
-    in-range address gives an in-range result. A salt that is not an int in
-    64 bits or an unknown standard raises :class:`InvalidOptionError` here,
-    not per call.
+    for every baseline. The method and the option it takes are checked here,
+    once, not per call: a method that is not an :class:`AddressingMethodId`
+    raises ``ValueError``, and a salt that is not an int in 64 bits or an
+    unknown standard raises :class:`InvalidOptionError`. Each step yields
+    ``payload < 2**n <= 2**128``, so an in-range address gives an in-range
+    result.
     """
-    return _bind(method, salt, standard, address=False)
+    if not isinstance(method, AddressingMethodId):
+        raise ValueError(f"method must be AddressingMethodId, got {method!r}")
+    step = _STEPS[method](salt, standard)
+
+    def kernel(epc: Epc, ons: int) -> int:
+        payload, n = step(epc)
+        return ons >> n << n | payload
+
+    return kernel
 
 
 def method_function(
     method: AddressingMethodId, salt: int = 0, standard: TagStandard | str = TagStandard.EPC
 ) -> Callable[[Epc, Ipv6Address], Ipv6Address]:
-    """Bind a method id to a ``(epc, address) -> address`` callable; see
-    :func:`integer_kernel` for the address and the options."""
-    return _bind(method, salt, standard, address=True)
+    """Bind a method id to a ``(epc, address) -> address`` callable, the
+    ``Ipv6Address`` of :func:`integer_kernel`'s result; see it for the address
+    and the options. ``Ipv6Address``'s class and range check runs inline: an
+    ``int`` in 128 bits is stored unchecked, and any other value goes to
+    ``Ipv6Address(...)``, which raises its own error."""
+    kernel = integer_kernel(method, salt, standard)
+
+    def bound(epc: Epc, address: Ipv6Address) -> Ipv6Address:
+        value = kernel(epc, address.value)
+        if value.__class__ is int and 0 <= value < _ADDRESS_LIMIT:
+            return _trusted_address(value)
+        return Ipv6Address(value)
+
+    return bound
 
 
 def derive(

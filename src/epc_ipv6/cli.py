@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage error, 3 parse error, 4 resolve error,
 5 derive error, named by the failing error's ``stage``; ``bench`` reports
 a method that fails on its population as not applicable and still exits 0,
 and ``derive -``, one EPC per stdin line, exits with the highest code of its
-failed lines.
+failed lines. A stderr that cannot be written drops its lines and changes
+neither stdout nor the exit code.
 A JSON config file named by the EPC_IPV6_CONFIG environment variable can
 preset the registry path, default method, and output format; flags
 override the config.
@@ -169,7 +170,7 @@ def cmd_derive(args, config: argparse.Namespace) -> int:
             epc = _epc_from_arg(text)
             write(f"{derive(epc, ons_of(epc))}\n")
         except EpcIpv6Error as exc:
-            print(f"line {number}: {_error_line(exc)}", file=sys.stderr)
+            _warn(f"line {number}: {_error_line(exc)}")
             code = max(code, _EXIT_CODES[exc.stage])
 
 
@@ -220,7 +221,7 @@ def cmd_bench(args, config: argparse.Namespace) -> int:
     rows = compare(args.methods, population, registry, args.salt, args.standard)
     for row in rows:
         if isinstance(row, NotApplicable):
-            print(f"bench: {row}", file=sys.stderr)
+            _warn(f"bench: {row}")
     output = render(spec, rows, _structured(args, config))
 
     if args.out:
@@ -321,11 +322,11 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, OSError):
             # a failed stdout write (a closed pipe, a full device): load_registry,
             # load_config and bench's --out turn every other OSError a command can
-            # meet into their own errors. The interpreter flushes stdout again at
-            # exit; that write goes nowhere
+            # meet into their own errors, and _warn drops a failed stderr write.
+            # The interpreter flushes stdout again at exit; that write goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
             exc = CliError("output", f"{type(exc).__name__}: {exc}")
-        print(_error_line(exc), file=sys.stderr)
+        _warn(_error_line(exc))
         return _EXIT_CODES[exc.stage]
 
 
@@ -335,6 +336,15 @@ def _error_line(exc: CliError | EpcIpv6Error) -> str:
     if isinstance(exc, (CliError, EvaluationError)):
         return str(exc)
     return f"{exc.stage}: {type(exc).__name__}: {exc}"
+
+
+def _warn(line: str) -> None:
+    """Write one line to stderr; a stderr that is closed or fails to write drops
+    it, as argparse drops its usage message, so stdout and the exit code stand."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):  # AttributeError: sys.stderr is None
+        pass
 
 
 def run() -> None:

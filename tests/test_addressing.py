@@ -1,4 +1,5 @@
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -42,6 +43,18 @@ from epc_ipv6.errors import (
 def raw_epc(value: int, declared_bits: int | None = None) -> Epc:
     bits = declared_bits if declared_bits is not None else max(value.bit_length(), 1)
     return Epc(scheme=EpcScheme.RAW, declared_bits=bits, value=value, serial_number=value)
+
+
+# every raw EPC below 2**12, built once for the brute-force properties
+_RAW_BELOW_2_12 = [raw_epc(v) for v in range(2**12)]
+
+
+def server_payloads(ons: int, width: int) -> set[int]:
+    """Closed form of the hybrid payloads below 2**width whose address is the
+    ONS address itself: A mod 2**n for each n <= width with bit n-1 of A set,
+    and 0 when bit 0 of A is clear."""
+    payloads = {ons % 2**n for n in range(1, width + 1) if ons >> (n - 1) & 1}
+    return payloads | ({0} if ons & 1 == 0 else set())
 
 
 class TestPlan:
@@ -170,6 +183,25 @@ class TestDeriveHybrid:
         addresses = {kernel(raw_epc(v), ons) for v in range(2**width)}
         condition = (ons >> 1) & (2 ** (width - 1) - 1) == 0
         assert (len(addresses) == 2**width) == condition
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**128 - 1))
+    def test_server_payloads_closed_form(self, width, ons):
+        # Finding 3: the payloads below 2**W that derive the ONS address A itself
+        kernel = integer_kernel(AddressingMethodId.HYBRID_ONS)
+        found = {v for v, epc in enumerate(_RAW_BELOW_2_12[: 2**width]) if kernel(epc, ons) == ons}
+        assert found == server_payloads(ons, width)
+
+    def test_server_payloads_under_readme_record(self, ons_address):
+        # serial 1 under ...:a73f is given the ONS server's own address, and so
+        # are 22 more of the 2**38 SGTIN-96 serials
+        epc = parse_tag_uri("urn:epc:tag:sgtin-96:3.0614141.812345.1")
+        assert derive_hybrid(epc, ons_address) == ons_address
+        serials = sorted(server_payloads(ons_address.value, SERIAL_BITS[EpcScheme.SGTIN96]))
+        assert len(serials) == 23
+        assert serials[:3] == [1, 3, 7] and serials[-1] == 76178761535
+        for serial in serials:
+            epc = parse_tag_uri(f"urn:epc:tag:sgtin-96:3.0614141.812345.{serial}")
+            assert derive_hybrid(epc, ons_address) == ons_address
 
     def test_shared_serial_under_one_company_collides(self, ons_address):
         # documented behaviour of the method, not a fix: an SGTIN-96 payload is
@@ -387,9 +419,12 @@ class TestBoundOptions:
         with pytest.raises(InvalidOptionError):
             method_function(AddressingMethodId.ISO_EPC, standard="bogus")
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown addressing method 'bogus'"):
-            method_function("bogus")
+    @pytest.mark.parametrize("method", ["bogus", "hybrid_ons", TagStandard.EPC])
+    def test_unknown_method_rejected(self, method):
+        # a method name as text is refused too: bench's report reads method.value
+        message = f"method must be AddressingMethodId, got {method!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            method_function(method)
 
 
 @st.composite

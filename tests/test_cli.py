@@ -833,6 +833,46 @@ class TestFullStdout:
         assert "Exception ignored" not in completed.stderr
 
 
+class TestUnwritableStderr:
+    """A stderr that cannot be written, here a read-only one, drops its lines:
+    stdout and the exit code are those of a writable stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code, out",
+        [
+            (["derive", "zzz", "--ons", "::"], b"", EXIT_PARSE, ""),
+            (["derive", "-", "--ons", "::"], b"zzz\n0x1\n", EXIT_PARSE, "::1\n"),
+            (["bench", "--registry", "registry.json", "--count", "10"], b"", EXIT_OK, None),
+            (["parse", "urn:x"], b"", EXIT_PARSE, ""),
+            (["resolve", "0x1", "--registry", "/nonexistent"], b"", EXIT_RESOLVE, ""),
+        ],
+        ids=["derive", "derive-lines", "bench", "parse", "resolve"],
+    )
+    def test_module_run(self, tmp_path, wildcard_registry_path, argv, stdin, code, out):
+        # the fixture writes registry.json into tmp_path, the child's working directory
+        with open(os.devnull, "rb") as read_only:
+            completed = subprocess.run(
+                [sys.executable, "-m", "epc_ipv6.cli", *argv],
+                cwd=tmp_path, env=child_env(), input=stdin, stdout=subprocess.PIPE,
+                stderr=read_only, timeout=60,
+            )
+        assert completed.returncode == code
+        stdout = completed.stdout.decode()
+        if out is not None:
+            assert stdout == out
+        else:  # bench: its header and one row per method, direct64's as n/a
+            lines = stdout.splitlines()
+            assert lines[0] == "method,population,distinct,collisions,mean_time,p99_time"
+            assert [line.split(",")[0] for line in lines[1:]] == cli._METHOD_NAMES
+            assert lines[2] == "direct64,10,n/a,n/a,n/a,n/a"
+
+    def test_closed_stderr_through_main(self, capsys, monkeypatch):
+        # sys.stderr is None where the interpreter starts without a usable fd 2
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["derive", "zzz", "--ons", "::"]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+
 UNDECODABLE = {
     "not-utf8": b"\xff\xfe[]",
     "nested-past-recursion-limit": b"[" * 100_000 + b"]" * 100_000,

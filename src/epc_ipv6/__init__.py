@@ -32,6 +32,7 @@ from .epc import (
     company_prefix_of,
     decode_sgtin96,
     encode_sgtin96,
+    parse_epc,
     parse_tag_uri,
     render_tag_uri,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "generate_population",
     "load_registry",
     "method_function",
+    "parse_epc",
     "parse_ipv6",
     "parse_tag_uri",
     "plan",

@@ -19,14 +19,8 @@ import os
 import sys
 
 from .addressing import AddressingMethodId, TagStandard, method_function
-from .epc import Epc, EpcScheme, bit_length, parse_tag_uri
-from .errors import (
-    EpcIpv6Error,
-    EvaluationError,
-    FieldRangeError,
-    TagUriError,
-    UnsatisfiableSpecError,
-)
+from .epc import EpcScheme, _number, parse_epc
+from .errors import EpcIpv6Error, EvaluationError, TagUriError, UnsatisfiableSpecError
 from .ipv6 import parse_ipv6
 from .ons import OnsRegistry, _parse_int, load_registry
 
@@ -41,9 +35,6 @@ _REGISTRY_REQUIRED = "--registry or a config registry_path is required"
 
 _METHOD_NAMES = [m.value for m in AddressingMethodId]
 _GENERATOR_SCHEMES = [s.value for s in EpcScheme]
-# the digits of a number argument; int() alone would also take "_", a sign,
-# spaces and non-ASCII digits
-_DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 10: frozenset("0123456789")}
 
 _EXIT_CODES = {"usage": EXIT_USAGE, "config": EXIT_USAGE, "input": EXIT_USAGE,
                "output": EXIT_USAGE, "parse": EXIT_PARSE, "resolve": EXIT_RESOLVE,
@@ -98,33 +89,6 @@ def load_config() -> argparse.Namespace:
     return config
 
 
-def _number(text: str) -> int | None:
-    """0x/0X and ASCII hex digits, or ASCII decimal digits, as an int; else None.
-
-    A number of more than 78 significant digits is at least 10**78 > 2**256,
-    past every bound, and reads as 2**256 without int(): int() refuses a
-    decimal past 4300 digits, and is quadratic where that limit is off.
-    """
-    digits, base = (text[2:], 16) if text[:2] in ("0x", "0X") else (text, 10)
-    if not digits or not _DIGITS[base].issuperset(digits):
-        return None
-    significant = digits.lstrip("0") or "0"  # int() counts leading zeros too
-    return int(significant, base) if len(significant) <= 78 else 1 << 256
-
-
-def _epc_from_arg(text: str) -> Epc:
-    """Accept a tag URI, or a raw numeric EPC in hex (0x...) or decimal."""
-    if text.startswith("urn:"):
-        return parse_tag_uri(text)
-    value = _number(text)
-    if value is None:
-        raise TagUriError(f"{text!r} is neither a tag URI nor a number")
-    if value >= 1 << 256:
-        raise FieldRangeError(f"EPC value {text!r} outside 0..2^256")
-    # a bare number is its own serial, per the raw-scheme convention
-    return Epc(EpcScheme.RAW, bit_length(value), value, value)
-
-
 def _registry(args, config: argparse.Namespace, missing_message: str) -> OnsRegistry:
     """The registry named by --registry, else by the config's registry_path."""
     registry_path = args.registry or config.registry_path
@@ -135,7 +99,7 @@ def _registry(args, config: argparse.Namespace, missing_message: str) -> OnsRegi
 
 def cmd_derive(args, config: argparse.Namespace) -> int:
     # "-" reads one EPC per stdin line, after the checks that need none
-    epc = None if args.epc == "-" else _epc_from_arg(args.epc)
+    epc = None if args.epc == "-" else parse_epc(args.epc)
     if args.ons is not None and args.registry is not None:
         raise CliError("usage", "give exactly one of --ons and --registry")
     if args.ons is not None:
@@ -167,7 +131,7 @@ def cmd_derive(args, config: argparse.Namespace) -> int:
                 text = line.decode()
             except UnicodeDecodeError:
                 raise TagUriError(f"{line!r} is not UTF-8 text") from None
-            epc = _epc_from_arg(text)
+            epc = parse_epc(text)
             write(f"{derive(epc, ons_of(epc))}\n")
         except EpcIpv6Error as exc:
             _warn(f"line {number}: {_error_line(exc)}")
@@ -175,7 +139,7 @@ def cmd_derive(args, config: argparse.Namespace) -> int:
 
 
 def cmd_parse(args, config: argparse.Namespace) -> int:
-    epc = parse_tag_uri(args.uri)
+    epc = parse_epc(args.epc)
     fields = {
         "scheme": epc.scheme.value,
         "declared_bits": epc.declared_bits,
@@ -192,7 +156,7 @@ def cmd_parse(args, config: argparse.Namespace) -> int:
 
 
 def cmd_resolve(args, config: argparse.Namespace) -> int:
-    epc = _epc_from_arg(args.uri)
+    epc = parse_epc(args.epc)
     address = _registry(args, config, _REGISTRY_REQUIRED).resolve(epc)
     if _structured(args, config):
         print(json.dumps({"ons_ip": str(address)}))
@@ -280,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
                         default="epc", help="input standard for iso_epc")
     derive.set_defaults(handler=cmd_derive)
 
-    parse = sub.add_parser("parse", help="parse a tag URI and print its fields")
-    parse.add_argument("uri", help="EPC tag URI")
+    parse = sub.add_parser("parse", help="parse an EPC and print its fields")
+    parse.add_argument("epc", help="tag URI, or numeric EPC")
     parse.add_argument("--format", choices=["text", "structured"])
     parse.set_defaults(handler=cmd_parse)
 
     resolve_cmd = sub.add_parser("resolve", help="look up the ONS address of an EPC")
-    resolve_cmd.add_argument("uri", help="tag URI, or numeric EPC")
+    resolve_cmd.add_argument("epc", help="tag URI, or numeric EPC")
     resolve_cmd.add_argument("--registry", help="registry file")
     resolve_cmd.add_argument("--format", choices=["text", "structured"])
     resolve_cmd.set_defaults(handler=cmd_resolve)

@@ -1,4 +1,4 @@
-"""EPC tag URIs, the SGTIN-96 binary codec, and bit-width primitives.
+"""EPC tag URIs and numbers, the SGTIN-96 binary codec, and bit-width primitives.
 
 EPC tag URIs look like ``urn:epc:tag:sgtin-96:3.0614141.812345.6789``:
 a scheme name followed by dot-separated decimal fields, read for every
@@ -68,6 +68,10 @@ SERIAL_BITS = {
 }
 
 _URI_PREFIX = "urn:epc:tag:"
+
+# the digits of a number; int() alone would also take "_", a sign, spaces and
+# non-ASCII digits
+_DIGITS = {16: frozenset("0123456789abcdefABCDEF"), 10: frozenset("0123456789")}
 
 
 def bit_length(value: int) -> int:
@@ -303,6 +307,41 @@ def parse_tag_uri(text: str) -> Epc:
     raise _tag_uri_error(text)
 
 
+def parse_epc(text: str) -> Epc:
+    """Read an EPC from its text, exactly a ``str``: a tag URI through
+    :func:`parse_tag_uri`, or a number, ``0x``/``0X`` hex or ASCII decimal.
+
+    Exactly 24 hex digits whose top byte is the SGTIN-96 header 0x30, a tag's
+    96-bit EPC bank, are that SGTIN-96, with the URI :func:`render_tag_uri`
+    writes; a value the decoder refuses raises its error. Any other number
+    below 2^256 is a raw EPC that is its own serial.
+    """
+    if text.__class__ is not str or text.startswith("urn:"):
+        return parse_tag_uri(text)
+    value = _number(text)
+    if value is None:
+        raise TagUriError(f"{text!r} is neither a tag URI nor a number")
+    if value >= 1 << 256:
+        raise FieldRangeError(f"EPC value {text!r} outside 0..2^256")
+    if len(text) == 26 and text[:2] in ("0x", "0X") and value >> 88 == SGTIN96_HEADER:
+        return parse_tag_uri(_sgtin96_uri(value))
+    return Epc(EpcScheme.RAW, bit_length(value), value, value)
+
+
+def _number(text: str) -> int | None:
+    """0x/0X and ASCII hex digits, or ASCII decimal digits, as an int; else None.
+
+    A number of more than 78 significant digits is at least 10**78 > 2**256,
+    past every bound, and reads as 2**256 without int(): int() refuses a
+    decimal past 4300 digits, and is quadratic where that limit is off.
+    """
+    digits, base = (text[2:], 16) if text[:2] in ("0x", "0X") else (text, 10)
+    if not digits or not _DIGITS[base].issuperset(digits):
+        return None
+    significant = digits.lstrip("0") or "0"  # int() counts leading zeros too
+    return int(significant, base) if len(significant) <= 78 else 1 << 256
+
+
 def _tag_uri_error(text: object) -> EpcIpv6Error:
     """The error for text that is not a tag URI ``parse_tag_uri`` takes: the
     first fault, read field by field in the README's order of errors."""
@@ -381,14 +420,19 @@ def render_tag_uri(epc: Epc) -> str:
     if epc.uri is not None:
         return epc.uri
     if epc.scheme is EpcScheme.SGTIN96 and epc.value is not None:
-        f = decode_sgtin96(epc.value)
-        return (
-            f"{_URI_PREFIX}sgtin-96:{f.filter_value}"
-            f".{f.company_prefix:0{f.company_digits}d}"
-            f".{f.item_reference:0{f.item_digits}d}"
-            f".{f.serial}"
-        )
+        return _sgtin96_uri(epc.value)
     raise TagUriError(f"no URI form available for {epc!r}")
+
+
+def _sgtin96_uri(value: int) -> str:
+    """The tag URI of an SGTIN-96 value; :func:`decode_sgtin96` refuses one without."""
+    f = decode_sgtin96(value)
+    return (
+        f"{_URI_PREFIX}sgtin-96:{f.filter_value}"
+        f".{f.company_prefix:0{f.company_digits}d}"
+        f".{f.item_reference:0{f.item_digits}d}"
+        f".{f.serial}"
+    )
 
 
 def company_prefix_of(epc: Epc) -> str | None:

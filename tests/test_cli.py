@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -712,7 +713,7 @@ class TestErrorStages:
         def fail(uri):
             raise getattr(errors, name)("boom")
 
-        monkeypatch.setattr(cli, "parse_tag_uri", fail)
+        monkeypatch.setattr(cli, "parse_epc", fail)
         stage, code = ERROR_STAGES[name]
         assert main(["parse", SGTIN_URI]) == code
         captured = capsys.readouterr()
@@ -726,6 +727,71 @@ class TestErrorStages:
             if isinstance(obj, type) and issubclass(obj, errors.EpcIpv6Error)
         }
         assert set(ERROR_STAGES) | {"EvaluationError"} == classes
+
+
+# SGTIN_URI as a tag reports its EPC bank: 24 hex digits, header 0x30
+SGTIN_HEX = "0x3074257bf7194e4000001a85"
+
+
+class TestEpcBank:
+    """A tag's 96-bit EPC bank with the SGTIN-96 header reads as its tag URI, so
+    every command prints for it, byte for byte, what it prints for the URI."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        company = [{"pattern": "sgtin-96:0614141", "ons_ip": ONS_TEXT}]
+        (tmp_path / "company.json").write_text(json.dumps(company), encoding="utf-8")
+
+    @staticmethod
+    def outcome(capsys, argv):
+        code = main(argv)
+        return code, *capsys.readouterr()
+
+    # each command, "{}" standing for the EPC
+    ARGVS = {
+        "parse": ["parse", "{}"],
+        "parse-structured": ["parse", "{}", "--format", "structured"],
+        "resolve": ["resolve", "{}", "--registry", "company.json"],
+        "resolve-structured": ["resolve", "{}", "--registry", "company.json",
+                               "--format", "structured"],
+        **{f"derive-{method.value}": ["derive", "{}", "--ons", ONS_TEXT, "--method",
+                                      method.value]
+           for method in epc_ipv6.AddressingMethodId},
+        "derive-registry": ["derive", "{}", "--registry", "company.json"],
+    }
+
+    @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS)
+    @pytest.mark.parametrize("text", [SGTIN_HEX, SGTIN_HEX.upper()], ids=["lower", "upper"])
+    def test_same_output_as_the_tag_uri(self, capsys, argv, text):
+        expected = self.outcome(capsys, [arg.format(SGTIN_URI) for arg in argv])
+        assert self.outcome(capsys, [arg.format(text) for arg in argv]) == expected
+
+    def test_derives_the_tag_uris_address(self, capsys):
+        # a raw read of these digits gave 3ffe:ffff:7074:257b:f719:4e40:0:1a85
+        assert self.outcome(capsys, ["derive", SGTIN_HEX, "--ons", ONS_TEXT]) == (
+            EXIT_OK, SERIAL_ADDRESS + "\n", ""
+        )
+
+    def test_resolves_under_its_company_record(self, capsys):
+        assert self.outcome(capsys, ["resolve", SGTIN_HEX, "--registry", "company.json"]) == (
+            EXIT_OK, ONS_TEXT + "\n", ""
+        )
+
+    def test_derive_lines(self, capsys, monkeypatch):
+        stdin_bytes(monkeypatch, f"{SGTIN_URI}\n{SGTIN_HEX}\n".encode())
+        assert self.outcome(capsys, ["derive", "-", "--registry", "company.json"]) == (
+            EXIT_OK, SERIAL_ADDRESS + "\n" + SERIAL_ADDRESS + "\n", ""
+        )
+
+    @pytest.mark.parametrize("command", ["parse", "resolve", "derive"])
+    def test_undecodable_bank_is_a_parse_error(self, capsys, command):
+        argv = [command, "0x307C257bf7194e4000001a85"]
+        argv += {"parse": [], "resolve": ["--registry", "company.json"],
+                 "derive": ["--ons", ONS_TEXT]}[command]
+        assert self.outcome(capsys, argv) == (
+            EXIT_PARSE, "", "parse: InvalidPartitionError: partition 7 outside 0..6\n"
+        )
 
 
 def child_env(*unset: str) -> dict:
@@ -765,6 +831,26 @@ class TestEntryPoint:
             cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert (completed.returncode, completed.stdout, completed.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [["derive", SGTIN_HEX, "--ons", ONS_TEXT],
+                                      ["derive", "0x1"], ["parse", "zzz"]],
+                             ids=["ok", "usage", "parse"])
+    def test_console_script_runs_main(self, capsys, tmp_path, argv):
+        # pyproject.toml names the target of the installed epc-ipv6 command;
+        # Python 3.10 has no tomllib, so the table is read by pattern
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+            encoding="utf-8")
+        scripts = pyproject.split("\n[project.scripts]\n")[1].split("\n[")[0]
+        module, name = re.fullmatch(r'epc-ipv6 = "([\w.]+):(\w+)"', scripts.strip()).groups()
+        assert getattr(importlib.import_module(module), name) is cli.run
+        completed = subprocess.run(
+            [sys.executable, "-c", f"import {module}; {module}.{name}()", *argv],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        code = main(argv)
+        assert (completed.returncode, completed.stdout, completed.stderr) == (
+            code, *capsys.readouterr()
+        )
 
 
 class TestClosedStdout:

@@ -12,6 +12,7 @@ from epc_ipv6 import (
     company_prefix_of,
     decode_sgtin96,
     encode_sgtin96,
+    parse_epc,
     parse_tag_uri,
     render_tag_uri,
 )
@@ -799,3 +800,61 @@ class TestCompanyPrefix:
     def test_raw_has_none(self):
         raw = Epc(scheme=EpcScheme.RAW, declared_bits=8, value=42)
         assert company_prefix_of(raw) is None
+
+
+# GOLDEN_SGTIN96 as a tag reports its EPC bank: 24 hex digits, header 0x30
+GOLDEN_HEX = f"0x{GOLDEN_SGTIN96:024x}"
+
+
+class TestParseEpc:
+    """``parse_epc``: tag URIs as ``parse_tag_uri`` reads them, a 96-bit EPC bank
+    with the SGTIN-96 header as that SGTIN-96, and any other number as raw."""
+
+    @pytest.mark.parametrize("text", [GOLDEN_HEX, GOLDEN_HEX.upper(),
+                                      "0x" + GOLDEN_HEX[2:].upper()])
+    def test_sgtin96_bank_is_its_tag_uri(self, text):
+        epc = parse_epc(text)
+        assert epc == parse_tag_uri(GOLDEN_URI)
+        assert company_prefix_of(epc) == "0614141"
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # partition 7: 0x30, filter 3, partition 7 in the next six bits
+            ("0x307C257bf7194e4000001a85", InvalidPartitionError,
+             "partition 7 outside 0..6"),
+            # partition 5 (7 company digits) holding company prefix 10**7
+            (f"0x{(0x30 << 6 | 3 << 3 | 5) << 82 | 10**7 << 58 | 1 << 38 | 1:024x}",
+             FieldRangeError,
+             "company prefix 10000000 or item reference 1 has more digits than "
+             "partition 5 allows"),
+        ],
+        ids=["partition-7", "company-prefix-digits"],
+    )
+    def test_undecodable_bank_raises_the_decoders_error(self, text, error, message):
+        # never read as raw: a misread tag must not get an address
+        with pytest.raises(EpcIpv6Error) as info:
+            parse_epc(text)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            (GOLDEN_HEX[:-1], GOLDEN_SGTIN96 >> 4),
+            (GOLDEN_HEX + "0", GOLDEN_SGTIN96 << 4),
+            ("0x00" + GOLDEN_HEX[2:], GOLDEN_SGTIN96),
+            ("0x32" + GOLDEN_HEX[4:], GOLDEN_SGTIN96 ^ 0x02 << 88),
+            ("0x34" + GOLDEN_HEX[4:], GOLDEN_SGTIN96 ^ 0x04 << 88),
+            (str(GOLDEN_SGTIN96), GOLDEN_SGTIN96),
+        ],
+        ids=["23-digits", "25-digits", "leading-zeros", "sgln-96-header",
+             "giai-96-header", "decimal"],
+    )
+    def test_other_numbers_stay_raw(self, text, value):
+        assert parse_epc(text) == Epc(EpcScheme.RAW, bit_length(value), value, value)
+
+    @pytest.mark.parametrize("text", [GOLDEN_SGTIN96, b"0x1", None, StrSubclass("0x1")])
+    def test_text_that_is_not_exactly_str(self, text):
+        with pytest.raises(TagUriError) as info:
+            parse_epc(text)
+        assert str(info.value) == f"expected tag URI text, got {type(text).__name__}"

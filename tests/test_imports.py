@@ -65,7 +65,7 @@ def test_cli_import_leaves_bench_and_dataclasses_unloaded():
     result = run_child(CHILD)
     assert result["cold"] == {"epc_ipv6.bench": False, "dataclasses": False}
     assert result["same_evaluate"]
-    assert len(result["all"]) == 34
+    assert len(result["all"]) == 35
     assert result["bound"] == result["all"]
     assert "no_such_name" in result["unknown"]
 

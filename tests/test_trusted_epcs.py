@@ -20,9 +20,11 @@ from epc_ipv6 import (
     Sgtin96Fields,
     decode_sgtin96,
     encode_sgtin96,
+    parse_epc,
     parse_ipv6,
     parse_tag_uri,
     plan,
+    render_tag_uri,
 )
 from epc_ipv6.epc import SGTIN96_PARTITIONS, pack_sgtin96
 
@@ -74,6 +76,16 @@ def test_decoded_fields_rebuild_equal(value):
     assert type(fields) is Sgtin96Fields
     assert Sgtin96Fields(*fields._astuple()) == fields
     assert encode_sgtin96(fields) == value
+
+
+@given(sgtin96_values())
+def test_sgtin96_bank_reads_as_its_tag_uri(value):
+    serial = decode_sgtin96(value).serial
+    expected = parse_tag_uri(render_tag_uri(Epc(EpcScheme.SGTIN96, 96, value, serial)))
+    for text in (f"0x{value:024x}", f"0X{value:024X}"):
+        epc = parse_epc(text)
+        assert epc == expected
+        assert Epc(*epc._astuple()) == epc
 
 
 # raw EPCs up to 128 bits, so every payload width 1..128 is planned

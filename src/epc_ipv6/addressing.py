@@ -18,7 +18,9 @@ from enum import Enum
 from operator import or_, xor
 
 from ._frozen import Frozen
-from .epc import Epc, EpcScheme
+# per-EPC code loads enum members and _trusted through module-level aliases,
+# each bound where its class is defined: see the epc module docstring
+from .epc import _RAW, Epc
 from .errors import (
     EpcTooWideError,
     InvalidOptionError,
@@ -26,13 +28,11 @@ from .errors import (
     MissingValueError,
     SerialTooWideError,
 )
-from .ipv6 import _ADDRESS_LIMIT, Ipv6Address
+from .ipv6 import _ADDRESS_LIMIT, Ipv6Address, _trusted_address
 
 IPV6_BITS = 128
 IID_BITS = 64
 _IID_MASK = (1 << IID_BITS) - 1
-_RAW = EpcScheme.RAW  # an enum member lookup costs a call on the hot path
-_trusted_address = Ipv6Address._trusted
 
 
 class PayloadSource(str, Enum):
@@ -120,7 +120,9 @@ def _direct64_step(epc: Epc) -> tuple[int, int]:
 
 
 def _pad_step(combine: Callable[[int, int], int], salt: int) -> Callable:
-    """XOR-fold the EPC's 64-bit chunks (identity below 2**64), combine the salt."""
+    """XOR-fold the EPC's 64-bit chunks (identity below 2**64), combine the salt.
+
+    An ``Epc`` value is below 2**256, so its four chunks fold in one expression."""
     # a float salt would fail in combine on the first EPC, and True would act as 1
     if salt.__class__ is not int:
         raise InvalidOptionError(f"salt must be an int, got {salt!r}")
@@ -131,10 +133,7 @@ def _pad_step(combine: Callable[[int, int], int], salt: int) -> Callable:
         value = epc.value
         if value is None:
             raise MissingValueError("EPC has no numeric value to derive from")
-        folded = 0
-        while value:
-            folded ^= value & _IID_MASK
-            value >>= IID_BITS
+        folded = (value ^ value >> 64 ^ value >> 128 ^ value >> 192) & _IID_MASK
         return combine(folded, salt), IID_BITS
 
     return step

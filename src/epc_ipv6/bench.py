@@ -27,14 +27,23 @@ from operator import xor
 
 from .addressing import AddressingMethodId, TagStandard, integer_kernel
 from ._frozen import field_check
-from .epc import SERIAL_BITS, SGTIN96_PARTITIONS, Epc, EpcScheme, pack_sgtin96
+from .epc import (
+    _RAW,
+    _SGTIN96,
+    SERIAL_BITS,
+    SGTIN96_PARTITIONS,
+    Epc,
+    EpcScheme,
+    _trusted_epc,
+    pack_sgtin96,
+)
 from .errors import (
     DerivationError,
     EpcIpv6Error,
     EvaluationError,
     UnsatisfiableSpecError,
 )
-from .ipv6 import Ipv6Address
+from .ipv6 import Ipv6Address, _trusted_address
 from .ons import OnsRegistry, resolve
 
 CSV_HEADER = "method,population,distinct,collisions,mean_time,p99_time"
@@ -245,7 +254,6 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
     """
     rng = random.Random(spec.seed)
     width = spec.effective_serial_bits
-    trusted = Epc._trusted
     getrandbits = rng.getrandbits
     if spec.serials_per_class is not None:
         count, per_class = spec.count, spec.serials_per_class
@@ -256,18 +264,19 @@ def generate_population(spec: PopulationSpec) -> list[Epc]:
                 pass
             classes.add(base)
             for serial in _distinct_serials(rng, width, min(per_class, count - start)):
-                population.append(trusted(EpcScheme.SGTIN96, 96, base | serial, serial, None))
+                population.append(_trusted_epc(_SGTIN96, 96, base | serial, serial, None))
         return population
     serials = _distinct_serials(rng, width, spec.count)
-    if spec.scheme is EpcScheme.RAW:
+    scheme = spec.scheme
+    if scheme is _RAW:
         # a raw code is its own serial number; width is 1..64
-        return [trusted(EpcScheme.RAW, width, v, v, None) for v in serials]
-    if spec.scheme is EpcScheme.SGTIN96:
-        return [trusted(EpcScheme.SGTIN96, 96, _sgtin96_class(getrandbits, serial), serial,
-                        None) for serial in serials]
+        return [_trusted_epc(_RAW, width, v, v, None) for v in serials]
+    if scheme is _SGTIN96:
+        return [_trusted_epc(_SGTIN96, 96, _sgtin96_class(getrandbits, serial), serial,
+                             None) for serial in serials]
     # serial-only schemes: no binary codec, the serial is all that matters;
     # width is at most the scheme's serial field
-    return [trusted(spec.scheme, 96, None, serial, None) for serial in serials]
+    return [_trusted_epc(scheme, 96, None, serial, None) for serial in serials]
 
 
 def evaluate(
@@ -369,16 +378,19 @@ def _measure(
         if gc_was_enabled:
             gc.enable()
 
-    counts = Counter(values)
+    distinct = len(set(values))
     collision_groups = ()
-    if len(counts) < len(values):
+    if distinct < len(values):
         # lists only for the addresses that collide, in order of first appearance
-        members: dict[int, list[Epc]] = {value: [] for value, n in counts.items() if n > 1}
+        members: dict[int, list[Epc]] = {
+            value: [] for value, n in Counter(values).items() if n > 1
+        }
+        get = members.get
         for epc, value in zip(population, values):
-            if value in members:
-                members[value].append(epc)
+            if (group := get(value)) is not None:
+                group.append(epc)
         collision_groups = tuple(
-            (Ipv6Address._trusted(value), tuple(epcs)) for value, epcs in members.items()
+            (_trusted_address(value), tuple(epcs)) for value, epcs in members.items()
         )
 
     # an address shares 128 - k leading bits with its ONS address when
@@ -392,7 +404,7 @@ def _measure(
     return BenchReport(
         method=method,
         population_size=len(population),
-        distinct_addresses=len(counts),
+        distinct_addresses=distinct,
         collision_groups=collision_groups,
         shared_prefix_depth={128 - k: n for k, n in differing_bits.items()},
         timing=timing,

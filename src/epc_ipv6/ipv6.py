@@ -61,6 +61,9 @@ class Ipv6Address(Frozen):
     __str__ = format_canonical
 
 
+_trusted_address = Ipv6Address._trusted
+
+
 def parse_ipv6(text: str) -> Ipv6Address:
     """Parse full, zero-suppressed, or ``::``-compressed IPv6 text."""
     if not isinstance(text, str):
@@ -69,13 +72,13 @@ def parse_ipv6(text: str) -> Ipv6Address:
         raise Ipv6TextError(f"zone identifiers are not addresses: {text!r}")
     try:
         # 16 bytes always hold a value below 2**128
-        return Ipv6Address._trusted(int.from_bytes(inet_pton(AF_INET6, text), "big"))
+        return _trusted_address(int.from_bytes(inet_pton(AF_INET6, text), "big"))
     except (OSError, ValueError):  # ValueError: an embedded NUL or a lone surrogate
         pass
     # ipaddress words the error; loaded only here, it stays off the start-up path
     import ipaddress
 
     try:
-        return Ipv6Address._trusted(int(ipaddress.IPv6Address(text)))
+        return _trusted_address(int(ipaddress.IPv6Address(text)))
     except ipaddress.AddressValueError as exc:
         raise Ipv6TextError(str(exc)) from None

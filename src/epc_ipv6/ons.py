@@ -15,7 +15,7 @@ import os
 from collections.abc import Iterable
 
 from ._frozen import Frozen
-from .epc import Epc, EpcScheme, company_prefix_of
+from .epc import _RAW, Epc, EpcScheme, company_prefix_of
 from .errors import DuplicatePatternError, Ipv6TextError, NoMatchError, RegistryError
 from .ipv6 import Ipv6Address, parse_ipv6
 
@@ -52,7 +52,7 @@ def _parse_pattern(pattern: str) -> PatternKey:
         raise RegistryError(f"pattern {pattern!r} names unknown scheme {scheme_name!r}")
     if not sep:
         return scheme, None
-    if scheme is EpcScheme.RAW:
+    if scheme is _RAW:
         raise RegistryError(f"pattern {pattern!r}: raw EPCs carry no company prefix")
     if not (6 <= len(company) <= 12 and company.isascii() and company.isdigit()):
         raise RegistryError(f"pattern {pattern!r}: company prefix is not 6..12 digits")

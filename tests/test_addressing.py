@@ -45,6 +45,20 @@ def raw_epc(value: int, declared_bits: int | None = None) -> Epc:
     return Epc(scheme=EpcScheme.RAW, declared_bits=bits, value=value, serial_number=value)
 
 
+@st.composite
+def sgtin96_values(draw) -> int:
+    """A valid SGTIN-96 value: every partition, fields within its digit counts."""
+    partition = draw(st.integers(min_value=0, max_value=6))
+    _, company_digits, _, item_digits = SGTIN96_PARTITIONS[partition]
+    return pack_sgtin96(
+        draw(st.integers(min_value=0, max_value=7)),
+        partition,
+        draw(st.integers(min_value=0, max_value=10**company_digits - 1)),
+        draw(st.integers(min_value=0, max_value=10**item_digits - 1)),
+        draw(st.integers(min_value=0, max_value=2**38 - 1)),
+    )
+
+
 # every raw EPC below 2**12, built once for the brute-force properties
 _RAW_BELOW_2_12 = [raw_epc(v) for v in range(2**12)]
 
@@ -274,6 +288,23 @@ class TestPadMethods:
         with pytest.raises(ValueError):
             derive_xor_pad(raw_epc(1), ons_address, salt=1 << 64)
 
+    @given(st.integers(min_value=0, max_value=2**256 - 1), sgtin96_values(),
+           st.one_of(st.just(0), st.integers(min_value=1, max_value=2**64 - 1)))
+    def test_fold_matches_the_chunk_loop(self, bits, value, salt):
+        # raw EPCs of every width 1..256, each the top w bits of one draw with
+        # its top bit set, and one SGTIN-96 value
+        population = [raw_epc(bits >> (256 - w) | 1 << (w - 1)) for w in range(1, 257)]
+        population.append(Epc(EpcScheme.SGTIN96, 96, value, value & (2**38 - 1)))
+        xor_kernel = integer_kernel(AddressingMethodId.XOR_PAD, salt=salt)
+        or_kernel = integer_kernel(AddressingMethodId.OR_PAD, salt=salt)
+        for epc in population:
+            folded, rest = 0, epc.value
+            while rest:
+                folded ^= rest & (2**64 - 1)
+                rest >>= 64
+            assert xor_kernel(epc, 0) == folded ^ salt, epc
+            assert or_kernel(epc, 0) == folded | salt, epc
+
     def test_baseline_identity_randomized(self, ons_address):
         rng = random.Random(20240811)
         for _ in range(500):
@@ -439,16 +470,9 @@ def epcs(draw) -> Epc:
         return Epc(scheme=scheme, declared_bits=bits, value=value, serial_number=serial)
     serial = draw(st.integers(min_value=0, max_value=2 ** SERIAL_BITS[scheme] - 1))
     if scheme is EpcScheme.SGTIN96 and draw(st.booleans()):
-        partition = draw(st.integers(min_value=0, max_value=6))
-        _, company_digits, _, item_digits = SGTIN96_PARTITIONS[partition]
-        value = pack_sgtin96(
-            draw(st.integers(min_value=0, max_value=7)),
-            partition,
-            draw(st.integers(min_value=0, max_value=10**company_digits - 1)),
-            draw(st.integers(min_value=0, max_value=10**item_digits - 1)),
-            serial,
-        )
-        return Epc(scheme=scheme, declared_bits=96, value=value, serial_number=serial)
+        value = draw(sgtin96_values())
+        return Epc(scheme=scheme, declared_bits=96, value=value,
+                   serial_number=value & (2**38 - 1))
     return Epc(scheme=scheme, declared_bits=96, serial_number=serial)
 
 

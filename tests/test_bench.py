@@ -17,6 +17,7 @@ from epc_ipv6 import (
     OnsRegistry,
     PopulationSpec,
     derive_hybrid,
+    derive_or_pad,
     evaluate,
     generate_population,
     load_registry,
@@ -417,6 +418,34 @@ class TestEvaluate:
         for address, epcs in report.collision_groups:
             assert all(derive_hybrid(epc, ons) == address for epc in epcs)
         assert expected, "adversarial ONS must actually produce collisions"
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 30), st.integers(0, 4), st.data())
+    def test_collision_report_matches_brute_force_oracle(self, seed, count, free_bits, data):
+        # an OR salt of all ones but the low free_bits sends every EPC to one
+        # of at most 2**free_bits addresses; members repeat by index
+        pool = generate_population(PopulationSpec(scheme=EpcScheme.SGTIN96, count=count,
+                                                  seed=seed))
+        picks = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=40))
+        population = [pool[i] for i in picks]
+        salt = (2**64 - 1) ^ (2**free_bits - 1)
+        ons = parse_ipv6(ONS_TEXT)
+        registry = OnsRegistry([OnsRecord("*", ons)])
+        report = evaluate(AddressingMethodId.OR_PAD, population, registry, salt=salt)
+
+        derived = [derive_or_pad(epc, ons, salt).value for epc in population]
+        n = len(population)
+        firsts = [i for i in range(n) if derived[i] not in derived[:i]]
+        expected = [
+            (derived[i], [k for k in range(n) if derived[k] == derived[i]]) for i in firsts
+        ]
+        expected = [(value, members) for value, members in expected if len(members) > 1]
+        assert report.distinct_addresses == len(firsts)
+        assert [(address.value, [id(epc) for epc in epcs])
+                for address, epcs in report.collision_groups] == [
+            (value, [id(population[k]) for k in members]) for value, members in expected
+        ]
+        pairs = sum(derived[i] == derived[j] for i, j in combinations(range(n), 2))
+        assert report.collision_pair_count == pairs
 
     def test_population_and_distinct_account_for_duplicates(self, wildcard_registry):
         epc = Epc(scheme=EpcScheme.RAW, declared_bits=16, value=77, serial_number=77)

@@ -288,14 +288,13 @@ def evaluate(
 ) -> BenchReport:
     """Derive one address per EPC and report collisions, hierarchy, timing.
 
-    This is :func:`compare` of one method, which stops at the first failure
-    rather than count them all. EPCs that derived the same
-    address form one collision group; the shared-prefix histogram counts,
-    per EPC, how many leading bits the derived address shares with that
-    EPC's resolved ONS address. A derivation failure raises
-    :class:`EvaluationError` naming the first EPC that failed.
+    This is :func:`compare` of one method. EPCs that derived the same address
+    form one collision group; the shared-prefix histogram counts, per EPC, how
+    many leading bits the derived address shares with that EPC's resolved ONS
+    address. A derivation failure raises :class:`EvaluationError` naming the
+    first EPC that failed.
     """
-    (row,) = _compare([method], population, registry, salt, standard, count=False)
+    (row,) = compare([method], population, registry, salt, standard)
     if isinstance(row, NotApplicable):
         raise EvaluationError("derive", row.first_epc, row.first_error)
     return row
@@ -315,10 +314,6 @@ def compare(
     failure applies to every method, so it raises :class:`EvaluationError`.
     A method whose derivations fail is reported as :class:`NotApplicable`.
     """
-    return _compare(methods, population, registry, salt, standard, count=True)
-
-
-def _compare(methods, population, registry, salt, standard, count: bool):
     if not population:
         raise ValueError("population must not be empty")
     bound = [(method, integer_kernel(method, salt=salt, standard=standard)) for method in methods]
@@ -328,15 +323,13 @@ def _compare(methods, population, registry, salt, standard, count: bool):
             ons_values.append(resolve(registry, epc).value)
         except EpcIpv6Error as exc:
             raise EvaluationError("resolve", epc, f"{type(exc).__name__}: {exc}") from exc
-    return [_measure(method, kernel, population, ons_values, count) for method, kernel in bound]
+    return [_measure(method, kernel, population, ons_values) for method, kernel in bound]
 
 
-def _measure(
-    method: AddressingMethodId, kernel, population: list[Epc], ons_values: list[int],
-    count: bool,
-) -> BenchReport | NotApplicable:
-    """One method's report over resolved ONS values, or its failures: all of
-    them counted, or only the first when ``count`` is false.
+def _measure(method: AddressingMethodId, kernel, population: list[Epc],
+             ons_values: list[int]) -> BenchReport | NotApplicable:
+    """One method's report over resolved ONS values, or every one of its
+    failures counted.
 
     Only the derivations are timed, one clock pair per chunk of
     ``DERIVE_CHUNK``. They run on the method's integer kernel, so an
@@ -361,7 +354,7 @@ def _measure(
             values += chunk
     except DerivationError:
         # a chunk does not say which call failed: one pass from its start finds
-        # it, and counts the rest when the caller reports the counts
+        # it and counts the rest
         failures: Counter[str] = Counter()
         first = None
         for epc, ons in zip(population[lo:], ons_values[lo:]):
@@ -371,8 +364,6 @@ def _measure(
                 failures[type(error).__name__] += 1
                 if first is None:
                     first = (epc, f"{type(error).__name__}: {error}")
-                    if not count:
-                        break
         return NotApplicable(method, len(population), dict(sorted(failures.items())), *first)
     finally:
         if gc_was_enabled:

@@ -27,7 +27,6 @@ from epc_ipv6 import (
     resolve,
 )
 from epc_ipv6 import bench
-from epc_ipv6.addressing import integer_kernel
 from epc_ipv6.bench import CSV_HEADER, NotApplicable, compare
 from epc_ipv6.epc import SGTIN96_PARTITIONS, pack_sgtin96
 from epc_ipv6.errors import EvaluationError, InvalidOptionError, UnsatisfiableSpecError
@@ -330,9 +329,24 @@ class TestGeneratePopulation:
             assert epc.value is None
             assert epc.serial_number is not None
 
-    def test_serial_width_respected(self):
-        spec = PopulationSpec(scheme=EpcScheme.SGTIN96, count=200, seed=5, serial_width_bits=8)
-        assert all(epc.serial_number < 256 for epc in generate_population(spec))
+    @pytest.mark.parametrize(
+        "scheme, width, bits, declared_bits",
+        [
+            (EpcScheme.SGTIN96, 8, 8, 96),
+            # a width past the scheme's serial field is capped at the field
+            (EpcScheme.SGTIN96, 100, 38, 96),
+            (EpcScheme.GIAI96, 100, 62, 96),
+            (EpcScheme.SGLN96, 100, 41, 96),
+            (EpcScheme.RAW, 100, 64, 64),
+        ],
+    )
+    def test_serial_width_respected(self, scheme, width, bits, declared_bits):
+        spec = PopulationSpec(scheme=scheme, count=200, seed=5, serial_width_bits=width)
+        population = generate_population(spec)
+        assert spec.effective_serial_bits == bits
+        # 200 draws fill the top bit of the field but never pass it
+        assert max(epc.serial_number for epc in population).bit_length() == bits
+        assert {epc.declared_bits for epc in population} == {declared_bits}
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -590,28 +604,18 @@ class TestCompare:
         )
         assert row.first_epc is population[2500]
 
-    def test_evaluate_stops_at_the_first_failure(self, monkeypatch, wildcard_registry):
-        calls = 0
-
-        def counting_kernel(*args, **kwargs):
-            kernel = integer_kernel(*args, **kwargs)
-
-            def counted(epc, ons):
-                nonlocal calls
-                calls += 1
-                return kernel(epc, ons)
-
-            return counted
-
-        monkeypatch.setattr(bench, "integer_kernel", counting_kernel)
-        population = generate_population(
-            PopulationSpec(scheme=EpcScheme.SGTIN96, count=2000, seed=5)
-        )
-        with pytest.raises(EvaluationError):
-            evaluate(AddressingMethodId.DIRECT64, population, wildcard_registry)
-        assert calls <= 4  # the first EPC fails: no pass over the rest
+    def test_evaluate_raises_the_first_failure_compare_reports(self, wildcard_registry):
+        # one failure deep in the third chunk, one more in the last chunk
+        population = TestEvaluate._raw_population_with_giai_at(2500)
+        population[2900] = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=8)
         (row,) = compare([AddressingMethodId.DIRECT64], population, wildcard_registry)
-        assert row.failures == {"EpcTooWideError": 2000}
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(AddressingMethodId.DIRECT64, population, wildcard_registry)
+        assert excinfo.value.stage == "derive"
+        assert excinfo.value.epc is row.first_epc
+        assert str(excinfo.value) == (
+            f"derive: {row.first_error} (epc={row.first_epc._label()})"
+        )
 
     def test_evaluate_names_the_error_type_and_the_epc_label(self, wildcard_registry):
         epc = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=5678)

@@ -785,16 +785,11 @@ class TestEpcInvariants:
 
 class TestCompanyPrefix:
     def test_from_sgtin_value(self):
-        epc = parse_tag_uri(GOLDEN_URI)
+        epc = Epc(EpcScheme.SGTIN96, 96, GOLDEN_SGTIN96, 6789)
         assert company_prefix_of(epc) == "0614141"
 
     def test_from_stored_uri(self):
         epc = parse_tag_uri("urn:epc:tag:giai-96:0.0614141.5678")
-        assert company_prefix_of(epc) == "0614141"
-
-    def test_sgtin_value_read_without_decoding(self, monkeypatch):
-        epc = parse_tag_uri(GOLDEN_URI)
-        monkeypatch.setattr("epc_ipv6.epc.Sgtin96Fields", None)
         assert company_prefix_of(epc) == "0614141"
 
     def test_raw_has_none(self):

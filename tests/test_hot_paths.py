@@ -22,6 +22,7 @@ HOT_PATHS = [
     addressing._takes_full_epc,
     addressing.method_function(addressing.AddressingMethodId.HYBRID_ONS),
     bench.generate_population,
+    bench.compare,
     bench._measure,
 ]
 

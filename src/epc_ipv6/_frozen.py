@@ -5,10 +5,11 @@ stored attribute in ``__slots__``. Its ``__init__`` calls ``self._check(...)``
 on the arguments, checks their ranges and ends in one ``self._store(...)``, one
 argument per slot in ``__slots__`` order; the classmethod ``_trusted(...)``
 stores slot values the package has proven valid on a new instance with no
-check. ``field_check`` compiles all three for each class declaring ``_fields``;
-any other subclass shares its parent's. Equality and hashing compare the fields
-of two values of the same class; pickle and copy rebuild a value by calling the
-class with its fields, so its checks run again and derived slots are recomputed.
+check. ``Frozen.__init_subclass__`` is ``field_check``'s one caller: it compiles
+all three for each subclass declaring ``_fields``, and any other subclass shares
+its parent's. Equality and hashing compare the fields of two values of the same
+class; pickle and copy rebuild a value by calling the class with its fields, so
+its checks run again and derived slots are recomputed.
 """
 
 import sys
@@ -23,7 +24,7 @@ def field_check(cls, fields):
     its constructor, which checks each item); ``_store(self, *slots)``, setting each slot in
     ``__slots__`` order; and classmethod ``_trusted(cls, *slots)``, storing on a new instance."""
     module, tests = vars(sys.modules[cls.__module__]), []
-    slots = getattr(cls, "__slots__", ())
+    slots = cls.__slots__
     scope = {"new": object.__new__} | {f"set_{name}": getattr(cls, name).__set__ for name in slots}
     for name in fields:
         # a module without ``from __future__ import annotations`` stores the class itself
@@ -36,10 +37,9 @@ def field_check(cls, fields):
             tests.append(f"\n if {name}.__class__ not in {name}_:"
                          f" raise ValueError({message!r} + repr({name}))")
     args, sets = ", ".join(slots), "".join(f"\n set_{name}(self, {name})" for name in slots)
-    # pass only for an empty _store: after a statement it compiles to a NOP
     exec(f"def check(self, {', '.join(fields)}):\n pass{''.join(tests)}\n"
-         f"def _store(self, {args}):" + (sets or "\n pass") +
-         f"\ndef _trusted(cls, {args}):\n self = new(cls){sets}\n return self", scope)
+         f"def _store(self, {args}):{sets}\n"
+         f"def _trusted(cls, {args}):\n self = new(cls){sets}\n return self", scope)
     return scope["check"], scope["_store"], classmethod(scope["_trusted"])
 
 

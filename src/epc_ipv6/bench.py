@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from operator import xor
 
 from .addressing import AddressingMethodId, TagStandard, integer_kernel
-from ._frozen import field_check
+from ._frozen import Frozen
 from .epc import (
     _RAW,
     _SGTIN96,
@@ -44,7 +44,7 @@ from .errors import (
     UnsatisfiableSpecError,
 )
 from .ipv6 import Ipv6Address, _trusted_address
-from .ons import OnsRegistry, resolve
+from .ons import OnsRegistry
 
 CSV_HEADER = "method,population,distinct,collisions,mean_time,p99_time"
 
@@ -54,8 +54,7 @@ DERIVE_CHUNK = 1024
 _GROUP_EXAMPLES = 4
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(Frozen):
     """Recipe for a deterministic population of distinct EPCs.
 
     ``serials_per_class`` K, for SGTIN-96 only, gives the population in
@@ -66,31 +65,31 @@ class PopulationSpec:
     across the population. Both modes draw each class through one routine.
     """
 
+    __slots__ = _fields = ("scheme", "count", "seed", "serial_width_bits", "serials_per_class")
     scheme: EpcScheme
     count: int
     seed: int
-    serial_width_bits: int | None = None
-    serials_per_class: int | None = None
+    serial_width_bits: int | None
+    serials_per_class: int | None
 
-    def __post_init__(self):
-        self._check(self.scheme, self.count, self.seed, self.serial_width_bits,
-                    self.serials_per_class)
-        if self.count < 1:
-            raise ValueError(f"count must be at least 1, got {self.count}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed {self.seed} does not fit 64 bits")
-        if self.serial_width_bits is not None and not 1 <= self.serial_width_bits <= 256:
-            raise ValueError(
-                f"serial_width_bits {self.serial_width_bits} outside 1..256"
-            )
-        if self.serials_per_class is not None:
-            if self.scheme is not EpcScheme.SGTIN96:
+    def __init__(self, scheme: EpcScheme, count: int, seed: int,
+                 serial_width_bits: int | None = None, serials_per_class: int | None = None):
+        self._check(scheme, count, seed, serial_width_bits, serials_per_class)
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed {seed} does not fit 64 bits")
+        if serial_width_bits is not None and not 1 <= serial_width_bits <= 256:
+            raise ValueError(f"serial_width_bits {serial_width_bits} outside 1..256")
+        if serials_per_class is not None:
+            if scheme is not EpcScheme.SGTIN96:
                 raise ValueError(f"serials_per_class applies to sgtin-96 only, "
-                                 f"not {self.scheme.value}")
-            if self.serials_per_class < 1:
+                                 f"not {scheme.value}")
+            if serials_per_class < 1:
                 raise ValueError(
-                    f"serials_per_class must be at least 1, got {self.serials_per_class}"
+                    f"serials_per_class must be at least 1, got {serials_per_class}"
                 )
+        self._store(scheme, count, seed, serial_width_bits, serials_per_class)
 
     @property
     def effective_serial_bits(self) -> int:
@@ -98,9 +97,6 @@ class PopulationSpec:
         if self.serial_width_bits is None:
             return scheme_bits
         return min(scheme_bits, self.serial_width_bits)
-
-
-PopulationSpec._check = field_check(PopulationSpec, PopulationSpec.__match_args__)[0]
 
 
 @dataclass(frozen=True)
@@ -317,10 +313,11 @@ def compare(
     if not population:
         raise ValueError("population must not be empty")
     bound = [(method, integer_kernel(method, salt=salt, standard=standard)) for method in methods]
+    lookup = registry.lookup
     ons_values = []
     for epc in population:
         try:
-            ons_values.append(resolve(registry, epc).value)
+            ons_values.append(lookup(epc).ons_ip.value)
         except EpcIpv6Error as exc:
             raise EvaluationError("resolve", epc, f"{type(exc).__name__}: {exc}") from exc
     return [_measure(method, kernel, population, ons_values) for method, kernel in bound]
@@ -411,7 +408,7 @@ def render(spec: PopulationSpec, rows: list[BenchReport | NotApplicable],
     """
     if not structured:
         return "\n".join([CSV_HEADER] + [row.csv_row() for row in rows]) + "\n"
-    population = asdict(spec)
+    population = dict(zip(spec._fields, spec._astuple()))
     if spec.serials_per_class is None:
         del population["serials_per_class"]  # unset, the block keeps its earlier keys only
     payload = {

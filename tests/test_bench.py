@@ -24,7 +24,6 @@ from epc_ipv6 import (
     parse_ipv6,
     parse_tag_uri,
     plan,
-    resolve,
 )
 from epc_ipv6 import bench
 from epc_ipv6.bench import CSV_HEADER, NotApplicable, compare
@@ -579,12 +578,14 @@ class TestEvaluate:
 class TestCompare:
     def test_resolves_each_epc_once(self, monkeypatch, wildcard_registry):
         calls = []
+        lookup = OnsRegistry.lookup
 
-        def counting_resolve(registry, epc):
+        def counting_lookup(registry, epc):
             calls.append(epc)
-            return resolve(registry, epc)
+            return lookup(registry, epc)
 
-        monkeypatch.setattr(bench, "resolve", counting_resolve)
+        # on the class: a Frozen registry refuses an attribute of its own
+        monkeypatch.setattr(OnsRegistry, "lookup", counting_lookup)
         population = generate_population(
             PopulationSpec(scheme=EpcScheme.SGTIN96, count=2000, seed=5)
         )

@@ -18,6 +18,7 @@ HOT_PATHS = [
     epc.company_prefix_of,
     epc.decode_sgtin96,
     ons._parse_pattern,
+    ons.OnsRegistry.lookup,
     ipv6.parse_ipv6,
     addressing._takes_full_epc,
     addressing.method_function(addressing.AddressingMethodId.HYBRID_ONS),

@@ -86,6 +86,14 @@ CASES = {
         dict(records=(WILDCARD,)),
         f"OnsRegistry(records=({RECORD!r}, {WILDCARD!r}))",
     ),
+    "PopulationSpec": (
+        PopulationSpec,
+        (EpcScheme.RAW, 10, 7, None, None),
+        dict(scheme=EpcScheme.RAW, count=10, seed=7),
+        dict(scheme=EpcScheme.RAW, count=10, seed=8),
+        "PopulationSpec(scheme=<EpcScheme.RAW: 'raw'>, count=10, seed=7, "
+        "serial_width_bits=None, serials_per_class=None)",
+    ),
 }
 
 
@@ -366,4 +374,5 @@ def _field_names(value):
         DerivationPlan: ("source", "input_bits", "prefix_bits"),
         OnsRecord: ("pattern", "ons_ip"),
         OnsRegistry: ("records",),
+        PopulationSpec: ("scheme", "count", "seed", "serial_width_bits", "serials_per_class"),
     }[type(value)]

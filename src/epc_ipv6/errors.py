@@ -98,6 +98,10 @@ class EvaluationError(EpcIpv6Error):
     """
 
     def __init__(self, stage: str, epc, message: str):
-        super().__init__(f"{stage}: {message} (epc={epc._label()})")
+        super().__init__(stage, epc, message)  # so pickle and copy can call the class again
         self.stage = stage
         self.epc = epc
+
+    def __str__(self):
+        stage, epc, message = self.args
+        return f"{stage}: {message} (epc={epc._label()})"

@@ -497,6 +497,23 @@ class TestEvaluate:
         assert excinfo.value.stage == "derive"
         assert excinfo.value.epc == epc
 
+    def test_evaluation_error_survives_pickle_and_copy(self, wildcard_registry):
+        # a process pool sends a worker's exception back pickled; one that
+        # cannot be rebuilt breaks the pool instead of re-raising
+        epc = Epc(scheme=EpcScheme.GIAI96, declared_bits=96, serial_number=5678)
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(AddressingMethodId.DIRECT64, [epc], wildcard_registry)
+        error = excinfo.value
+        assert str(error) == (
+            "derive: EpcTooWideError: 96-bit EPC does not fit a 64-bit interface id "
+            "(epc=giai-96:serial=5678)"
+        )
+        for restored in (pickle.loads(pickle.dumps(error)), copy.copy(error),
+                         copy.deepcopy(error)):
+            assert type(restored) is EvaluationError
+            assert str(restored) == str(error)
+            assert restored.stage == "derive" and restored.epc == epc
+
     @staticmethod
     def _raw_population_with_giai_at(index):
         population = [

@@ -17,12 +17,24 @@ HOT_PATHS = [
     epc.render_tag_uri,
     epc.company_prefix_of,
     epc.decode_sgtin96,
+    epc.pack_sgtin96,
     ons._parse_pattern,
     ons.OnsRegistry.lookup,
+    ons.resolve,
     ipv6.parse_ipv6,
+    ipv6.format_canonical,
     addressing._takes_full_epc,
     addressing.method_function(addressing.AddressingMethodId.HYBRID_ONS),
+    addressing.integer_kernel(addressing.AddressingMethodId.HYBRID_ONS),
+    addressing._hybrid_step,
+    addressing._direct64_step,
+    addressing._pad_step,  # and the step it returns, a nested code object
+    addressing._one_pad_step,
+    addressing._epc_standard_step,
+    addressing._iso_standard_step,
     bench.generate_population,
+    bench._sgtin96_class,
+    bench._distinct_serials,
     bench.compare,
     bench._measure,
 ]

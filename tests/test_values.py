@@ -175,9 +175,10 @@ def test_class_pattern_binds_fields_in_order(case):
 
 @pytest.mark.parametrize("cls", [cls for cls, *_ in CASES.values()], ids=list(CASES))
 def test_check_store_and_trusted_come_from_one_compile(cls):
-    # one exec per class: the three functions share the namespace it ran in
+    # one exec per class: the four functions share the namespace it ran in
     scope = cls._check.__globals__
     assert cls._store.__globals__ is scope and cls._trusted.__func__.__globals__ is scope
+    assert cls._astuple.__globals__ is scope
 
 
 def test_restored_registry_still_resolves():
@@ -278,7 +279,7 @@ def test_wrong_class_table_covers_every_value_type():
     value_types = {
         cls for cls in Frozen.__subclasses__() if cls.__module__.startswith("epc_ipv6.")
     }
-    assert value_types | {PopulationSpec} == set(VALID_ARGS)
+    assert value_types == set(VALID_ARGS)
     assert {(cls, field) for cls, _, field in WRONG_CLASS.values()} == {
         (cls, field) for cls in VALID_ARGS for field in cls.__match_args__
     }
@@ -312,6 +313,20 @@ class Redeclared(Ipv6Address):
     value: "int"
 
 
+class SlottedRedeclared(Ipv6Address):
+    # slotted too: its _store and _trusted set the slot Ipv6Address declares
+    __slots__ = ()
+    _fields = ("value",)
+    value: "int"
+
+
+class Reslotted(Ipv6Address):
+    # redeclares Ipv6Address's slot as well: its _store sets its own, which it reads
+    __slots__ = ("value",)
+    _fields = ("value",)
+    value: "int"
+
+
 @pytest.mark.parametrize("cls, args", [
     (PlainEpc, (EpcScheme.GIAI96, 96, None, 5)),
     (SlottedEpc, (EpcScheme.RAW, 8, 5, 5)),
@@ -319,6 +334,8 @@ class Redeclared(Ipv6Address):
     (PlainAddress, (7,)),
     (SlottedAddress, (7,)),
     (Redeclared, (7,)),
+    (SlottedRedeclared, (7,)),
+    (Reslotted, (7,)),
 ])
 def test_user_subclasses_build_compare_and_pickle(cls, args):
     value = cls(*args)
@@ -329,6 +346,32 @@ def test_user_subclasses_build_compare_and_pickle(cls, args):
         assert type(restored) is cls and restored == value
     with pytest.raises(AttributeError):
         value.value = 8
+
+
+@pytest.mark.parametrize("cls", [PlainEpc, SlottedEpc, TaggedEpc, PlainAddress, SlottedAddress])
+def test_subclass_declaring_no_fields_inherits_every_method(cls):
+    assert not {"_check", "_store", "_trusted", "_astuple", "__match_args__"} & set(vars(cls))
+    assert cls._store is cls.__mro__[1]._store and cls.__match_args__ == cls.__mro__[1]._fields
+
+
+def test_slotted_redeclared_fields_are_checked():
+    with pytest.raises(ValueError, match=r"^SlottedRedeclared\.value must be int, got 7\.5$"):
+        SlottedRedeclared(7.5)
+    assert SlottedRedeclared._trusted(7) == SlottedRedeclared(7)
+
+
+def test_redeclaring_subclass_with_a_slot_of_its_own_never_misstores():
+    # _store and _trusted take Ipv6Address's slot, then its own; the inherited
+    # __init__ passes one value, which must not land in the tag slot
+    class TaggedRedeclared(Ipv6Address):
+        __slots__ = ("tag",)
+        _fields = ("value",)
+        value: "int"
+
+    with pytest.raises(TypeError, match=r"_store\(\) missing 1 required positional argument: 'tag'"):
+        TaggedRedeclared(7)
+    value = TaggedRedeclared._trusted(7, "t")
+    assert (value.value, value.tag) == (7, "t") and value._astuple() == (7,)
 
 
 def test_annotation_may_be_a_class():
